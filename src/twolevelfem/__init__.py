@@ -10,11 +10,8 @@ symmetric positive definite fine one.
 from .algorithms import (
     IterateState,
     IterationOperators,
-    TwoLevelConfig,
-    build_two_grid_spaces,
     galerkin_solve,
     run_correction_iteration,
-    two_grid_iterate,
     two_level_iterate,
 )
 from .analysis import (
@@ -26,23 +23,17 @@ from .analysis import (
     time_run,
 )
 from .assembly import (
-    AssembledSystem,
     ProblemSpec,
-    ReducedSystem,
-    apply_dirichlet,
     assemble_load,
     assemble_nonsym,
     assemble_stiffness,
-    assemble_system,
-    export_operator,
-    validate_ellipticity,
+    interior_block,
 )
 from .element import (
     QuadratureRule,
     ReferenceElement,
     build_quadrature,
     build_reference_element,
-    eval_basis,
     tabulate_basis,
 )
 from .mesh import (
@@ -50,12 +41,10 @@ from .mesh import (
     MeshGeometryError,
     MeshSizeError,
     build_structured_mesh,
-    dump_mesh,
     refine_nested,
-    triangle_areas,
 )
 from .problems import example_1, example_2, get_problem, load_problem_file
-from .solver import SolveReport, SolverError, solve_general, solve_spd
+from .solver import SolveReport, SolverError, make_factor
 from .space import (
     FeSpace,
     Prolongation,
@@ -69,7 +58,6 @@ from .space import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssembledSystem",
     "ExperimentRow",
     "FeSpace",
     "IterateState",
@@ -80,45 +68,34 @@ __all__ = [
     "ProblemSpec",
     "Prolongation",
     "QuadratureRule",
-    "ReducedSystem",
     "ReferenceElement",
     "SolveReport",
     "SolverError",
-    "TwoLevelConfig",
-    "apply_dirichlet",
     "assemble_load",
     "assemble_nonsym",
     "assemble_stiffness",
-    "assemble_system",
     "build_prolongation",
     "build_quadrature",
     "build_reference_element",
     "build_space",
     "build_structured_mesh",
-    "build_two_grid_spaces",
     "dof_count",
-    "dump_mesh",
     "estimate_orders",
-    "eval_basis",
     "evaluate",
     "example_1",
     "example_2",
-    "export_operator",
     "galerkin_solve",
     "get_problem",
     "h1_distance",
     "h1_error",
     "h1_norm_discrete",
+    "interior_block",
     "interpolate",
     "load_problem_file",
+    "make_factor",
     "refine_nested",
     "run_correction_iteration",
-    "solve_general",
-    "solve_spd",
     "tabulate_basis",
     "time_run",
-    "triangle_areas",
-    "two_grid_iterate",
     "two_level_iterate",
-    "validate_ellipticity",
 ]

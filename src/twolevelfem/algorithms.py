@@ -17,7 +17,6 @@ straight fine Galerkin solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -26,61 +25,11 @@ from .assembly import (
     assemble_load,
     assemble_nonsym,
     assemble_stiffness,
+    interior_block,
 )
-from .element import MAX_DEGREE
-from .mesh import Mesh, build_structured_mesh, refine_nested
-from .solver import DEFAULT_TOL, make_factor, solve_general
+from .mesh import Mesh
+from .solver import make_factor
 from .space import FeSpace, build_prolongation, build_space
-
-
-@dataclass(frozen=True)
-class TwoLevelConfig:
-    """Validated parameters of one iterative scheme.
-
-    For mode "two-level", `fine` is the fine polynomial degree s >= l+1 on
-    the same mesh.  For mode "two-grid", `fine` is the mesh refinement factor
-    r >= 2 (or the string "square", resolved per run to r = M so that
-    h = H^2), at the same degree l.
-    """
-
-    mode: Literal["two-grid", "two-level"]
-    coarse_degree: int
-    fine: Union[int, str]
-    iterations: int = 3
-    spd_tol: float = DEFAULT_TOL
-    general_tol: float = DEFAULT_TOL
-    method: str = "direct"
-
-    def __post_init__(self):
-        if self.mode not in ("two-grid", "two-level"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.coarse_degree <= MAX_DEGREE:
-            raise ValueError(
-                f"coarse degree must be in [1, {MAX_DEGREE}], got {self.coarse_degree}"
-            )
-        if self.iterations < 1:
-            raise ValueError(f"iteration count must be >= 1, got {self.iterations}")
-        if self.mode == "two-level":
-            if not isinstance(self.fine, int):
-                raise ValueError("two-level mode needs an integer fine degree")
-            if not self.coarse_degree + 1 <= self.fine <= MAX_DEGREE:
-                raise ValueError(
-                    f"fine degree must be in [{self.coarse_degree + 1}, {MAX_DEGREE}], "
-                    f"got {self.fine}"
-                )
-        else:
-            if self.fine == "square":
-                return
-            if not isinstance(self.fine, int) or self.fine < 2:
-                raise ValueError(
-                    f"two-grid refinement factor must be >= 2 or 'square', got {self.fine!r}"
-                )
-
-    def resolve_fine_factor(self, M: int) -> int:
-        """The refinement factor for a concrete coarse mesh size."""
-        if self.mode != "two-grid":
-            raise ValueError("fine factor is only meaningful in two-grid mode")
-        return M if self.fine == "square" else int(self.fine)
 
 
 @dataclass
@@ -102,11 +51,17 @@ class IterationOperators:
     """
 
     def __init__(self, spec: ProblemSpec, coarse: FeSpace, fine: FeSpace,
-                 spd_tol: float = DEFAULT_TOL, general_tol: float = DEFAULT_TOL,
-                 method: str = "direct"):
+                 solver: str = "direct"):
         self.coarse = coarse
         self.fine = fine
+        # build_prolongation accepts only a same-mesh degree raise, a nested
+        # refinement at equal degree, and the identity pair refused below.
         self.prolong = build_prolongation(coarse, fine).matrix
+        if fine.mesh.M == coarse.mesh.M and fine.degree == coarse.degree:
+            raise ValueError(
+                f"fine space must be a proper enlargement of the coarse one "
+                f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
+            )
 
         self.A_fine = assemble_stiffness(fine, spec)
         self.N_fine = assemble_nonsym(fine, spec)
@@ -118,15 +73,8 @@ class IterationOperators:
         self.fine_interior = fine.interior_dofs
         self.coarse_interior = coarse.interior_dofs
 
-        fi, ci = self.fine_interior, self.coarse_interior
-        self._A_fine_int = self.A_fine[fi, :][:, fi].tocsr()
-        full_coarse = (A_coarse + N_coarse).tocsr()
-        self._full_coarse_int = full_coarse[ci, :][:, ci].tocsr()
-
-        self._solve_fine_spd = make_factor(self._A_fine_int, method=method, tol=spd_tol)
-        general_method = "gmres" if method in ("cg", "gmres") else method
-        self._solve_coarse = make_factor(self._full_coarse_int, method=general_method,
-                                         tol=general_tol)
+        self._solve_fine_spd = make_factor(interior_block(self.A_fine, fine), solver)
+        self._solve_coarse = make_factor(interior_block(A_coarse + N_coarse, coarse), solver)
 
     def fine_operator_apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the full fine operator A + Npart."""
@@ -139,7 +87,7 @@ class IterationOperators:
         residual = self.F_fine - self.fine_operator_apply(u)
         rhs = (self.prolong.T @ residual)[self.coarse_interior]
         e = np.zeros(self.coarse.n_dofs_total)
-        e[self.coarse_interior] = self._solve_coarse(rhs)
+        e[self.coarse_interior] = self._solve_coarse(rhs)[0]
         return e
 
     def update(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -148,7 +96,7 @@ class IterationOperators:
         shifted = u + self.prolong @ e
         rhs = (self.F_fine - self.N_fine @ shifted)[self.fine_interior]
         new = np.zeros(self.fine.n_dofs_total)
-        new[self.fine_interior] = self._solve_fine_spd(rhs)
+        new[self.fine_interior] = self._solve_fine_spd(rhs)[0]
         return new
 
     def fine_residual(self, u: np.ndarray) -> float:
@@ -159,13 +107,8 @@ class IterationOperators:
         return float(np.linalg.norm(r) / norm_f) if norm_f > 0 else float(np.linalg.norm(r))
 
 
-def run_correction_iteration(ops: IterationOperators, k: int,
-                             residual_stop: Optional[float] = None) -> IterateState:
-    """Run k rounds of (coarse correction, SPD update) from the zero iterate.
-
-    The iteration count is fixed by design; `residual_stop` optionally ends
-    it early once the relative fine residual drops below the given value.
-    """
+def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
+    """Run k rounds of (coarse correction, SPD update) from the zero iterate."""
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     u = np.zeros(ops.fine.n_dofs_total)
@@ -176,69 +119,22 @@ def run_correction_iteration(ops: IterationOperators, k: int,
         state.current = u
         state.iteration += 1
         state.residual_history.append(ops.fine_residual(u))
-        if residual_stop is not None and state.residual_history[-1] <= residual_stop:
-            break
     return state
 
 
-def galerkin_solve(space: FeSpace, spec: ProblemSpec, tol: float = DEFAULT_TOL,
-                   method: str = "direct") -> np.ndarray:
+def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:
     """Solve the full discretization on one space; coefficients include the
     zero boundary values."""
-    A = assemble_stiffness(space, spec)
-    Npart = assemble_nonsym(space, spec)
+    K = interior_block(assemble_stiffness(space, spec) + assemble_nonsym(space, spec), space)
     F = assemble_load(space, spec.f)
-    interior = space.interior_dofs
-    K = (A + Npart).tocsr()[interior, :][:, interior]
-    general_method = "gmres" if method in ("cg", "gmres") else method
-    x, _ = solve_general(K.tocsr(), F[interior], tol=tol, method=general_method)
     u = np.zeros(space.n_dofs_total)
-    u[interior] = x
+    u[space.interior_dofs] = make_factor(K, solver)(F[space.interior_dofs])[0]
     return u
 
 
-def two_grid_iterate(spec: ProblemSpec, coarse: FeSpace, fine: FeSpace, k: int,
-                     spd_tol: float = DEFAULT_TOL, general_tol: float = DEFAULT_TOL,
-                     method: str = "direct",
-                     residual_stop: Optional[float] = None) -> IterateState:
-    """Correction iteration with the fine space on a nested refinement.
-
-    Requires fine.mesh to be a refinement of coarse.mesh at the same degree.
-    """
-    if fine.mesh.M % coarse.mesh.M != 0 or fine.mesh.M == coarse.mesh.M:
-        raise ValueError(
-            f"fine mesh (M={fine.mesh.M}) must be a proper nested refinement "
-            f"of the coarse mesh (M={coarse.mesh.M})"
-        )
-    if fine.degree != coarse.degree:
-        raise ValueError(
-            f"two-grid spaces must share the degree, got {coarse.degree} and {fine.degree}"
-        )
-    ops = IterationOperators(spec, coarse, fine, spd_tol, general_tol, method)
-    return run_correction_iteration(ops, k, residual_stop)
-
-
 def two_level_iterate(spec: ProblemSpec, coarse_degree: int, fine_degree: int,
-                      mesh: Mesh, k: int,
-                      spd_tol: float = DEFAULT_TOL, general_tol: float = DEFAULT_TOL,
-                      method: str = "direct",
-                      residual_stop: Optional[float] = None) -> IterateState:
+                      mesh: Mesh, k: int, solver: str = "direct") -> IterateState:
     """Correction iteration with both spaces on the same mesh and a raised
     fine degree (fine_degree >= coarse_degree + 1)."""
-    if fine_degree < coarse_degree + 1:
-        raise ValueError(
-            f"fine degree must exceed the coarse degree, got "
-            f"{coarse_degree} -> {fine_degree}"
-        )
-    coarse = build_space(mesh, coarse_degree)
-    fine = build_space(mesh, fine_degree)
-    ops = IterationOperators(spec, coarse, fine, spd_tol, general_tol, method)
-    return run_correction_iteration(ops, k, residual_stop)
-
-
-def build_two_grid_spaces(coarse_mesh_subdivisions: int, degree: int, factor: int
-                          ) -> tuple[FeSpace, FeSpace]:
-    """Coarse and fine spaces of a two-grid pair (fine mesh nested by `factor`)."""
-    coarse_mesh = build_structured_mesh(coarse_mesh_subdivisions)
-    fine_mesh = refine_nested(coarse_mesh, factor)
-    return build_space(coarse_mesh, degree), build_space(fine_mesh, degree)
+    coarse, fine = build_space(mesh, coarse_degree), build_space(mesh, fine_degree)
+    return run_correction_iteration(IterationOperators(spec, coarse, fine, solver), k)

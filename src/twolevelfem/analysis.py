@@ -45,15 +45,14 @@ def error_quadrature(degree: int) -> QuadratureRule:
 
 
 def h1_error(space: FeSpace, coefficients: np.ndarray, exact_u: Callable,
-             exact_grad_u: Callable, quad: Optional[QuadratureRule] = None) -> float:
+             exact_grad_u: Callable) -> float:
     """Full H1-norm error of a finite element function against an exact one.
 
     Integrates (u_h - u)^2 + |grad u_h - grad u|^2 elementwise and returns
     the square root.  `exact_grad_u(x, y)` must return the gradient with the
     component axis last.
     """
-    if quad is None:
-        quad = error_quadrature(space.degree)
+    quad = error_quadrature(space.degree)
     coefficients = np.asarray(coefficients, dtype=float)
     vals, ref_grads = tabulate_basis(space.element, quad.points)
     v0, jac, det, inv = element_geometry(space.mesh)

@@ -42,34 +42,6 @@ class ProblemSpec:
     name: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class AssembledSystem:
-    """Operators of one space: stiffness A, lower-order Npart, load F."""
-
-    A: sp.csr_matrix
-    Npart: sp.csr_matrix
-    F: np.ndarray
-    space: FeSpace
-    interior_dofs: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSystem:
-    """The same operators restricted to interior DOFs."""
-
-    A: sp.csr_matrix
-    Npart: sp.csr_matrix
-    F: np.ndarray
-    interior_dofs: np.ndarray
-    n_total: int
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Re-insert the zero boundary values into an interior vector."""
-        full = np.zeros(self.n_total)
-        full[self.interior_dofs] = x
-        return full
-
-
 def default_assembly_quadrature(degree: int) -> QuadratureRule:
     """Rule used for operator and load assembly on a degree-`degree` space."""
     return build_quadrature(2 * degree + 3)
@@ -104,7 +76,7 @@ def _blocks(n: int, size: int = _BLOCK):
         yield slice(start, min(start + size, n))
 
 
-def _scalar_field(raw, shape, what: str) -> np.ndarray:
+def _field(raw, shape, what: str) -> np.ndarray:
     field = np.asarray(raw, dtype=float)
     try:
         return np.broadcast_to(field, shape)
@@ -138,11 +110,9 @@ def _to_csr(rows, cols, data, n: int) -> sp.csr_matrix:
     return matrix
 
 
-def assemble_stiffness(space: FeSpace, spec: ProblemSpec,
-                       quad: Optional[QuadratureRule] = None) -> sp.csr_matrix:
+def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i."""
-    if quad is None:
-        quad = default_assembly_quadrature(space.degree)
+    quad = default_assembly_quadrature(space.degree)
     _, ref_grads = tabulate_basis(space.element, quad.points)
     v0, jac, det, inv = element_geometry(space.mesh)
     nb = space.element.n_basis
@@ -160,7 +130,7 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec,
             amat = np.broadcast_to(raw, (ne, nq, 2, 2))
             weighted = np.einsum("eqab,eqjb->eqja", amat, grads) * wdet[..., None, None]
         else:
-            avals = _scalar_field(raw, wdet.shape, "alpha")
+            avals = _field(raw, wdet.shape, "alpha")
             weighted = grads * (avals * wdet)[..., None, None]
 
         left = grads.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
@@ -171,11 +141,9 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec,
     return _to_csr(rows, cols, data, space.n_dofs_total)
 
 
-def assemble_nonsym(space: FeSpace, spec: ProblemSpec,
-                    quad: Optional[QuadratureRule] = None) -> sp.csr_matrix:
+def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i."""
-    if quad is None:
-        quad = default_assembly_quadrature(space.degree)
+    quad = default_assembly_quadrature(space.degree)
     vals, ref_grads = tabulate_basis(space.element, quad.points)
     v0, jac, det, inv = element_geometry(space.mesh)
     nq = quad.n_points
@@ -187,10 +155,8 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec,
         wdet = det[block][:, None] * quad.weights[None, :]
         ne = grads.shape[0]
 
-        bvals = np.broadcast_to(
-            np.asarray(spec.beta(pts[..., 0], pts[..., 1]), dtype=float), (ne, nq, 2)
-        )
-        gvals = _scalar_field(spec.gamma(pts[..., 0], pts[..., 1]), wdet.shape, "gamma")
+        bvals = _field(spec.beta(pts[..., 0], pts[..., 1]), (ne, nq, 2), "beta")
+        gvals = _field(spec.gamma(pts[..., 0], pts[..., 1]), wdet.shape, "gamma")
 
         trial = np.einsum("eqa,eqja->eqj", bvals, grads)
         trial += gvals[..., None] * vals[None, :, :]
@@ -200,11 +166,9 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec,
     return _to_csr(rows, cols, data, space.n_dofs_total)
 
 
-def assemble_load(space: FeSpace, g,
-                  quad: Optional[QuadratureRule] = None) -> np.ndarray:
+def assemble_load(space: FeSpace, g) -> np.ndarray:
     """Assemble F[i] = integral of g phi_i."""
-    if quad is None:
-        quad = default_assembly_quadrature(space.degree)
+    quad = default_assembly_quadrature(space.degree)
     vals, _ = tabulate_basis(space.element, quad.points)
     v0, jac, det, _ = element_geometry(space.mesh)
 
@@ -212,7 +176,7 @@ def assemble_load(space: FeSpace, g,
     for block in _blocks(space.mesh.n_triangles):
         pts = _physical_points(v0[block], jac[block], quad.points)
         wdet = det[block][:, None] * quad.weights[None, :]
-        gvals = _scalar_field(g(pts[..., 0], pts[..., 1]), wdet.shape, "load integrand")
+        gvals = _field(g(pts[..., 0], pts[..., 1]), wdet.shape, "load integrand")
         local = (gvals * wdet) @ vals                      # (e, n_local)
         load += np.bincount(
             space.cell_to_dofs[block].ravel(),
@@ -222,55 +186,12 @@ def assemble_load(space: FeSpace, g,
     return load
 
 
-def assemble_system(space: FeSpace, spec: ProblemSpec,
-                    quad: Optional[QuadratureRule] = None) -> AssembledSystem:
-    """Assemble stiffness, lower-order part and load of one space."""
-    return AssembledSystem(
-        A=assemble_stiffness(space, spec, quad),
-        Npart=assemble_nonsym(space, spec, quad),
-        F=assemble_load(space, spec.f, quad),
-        space=space,
-        interior_dofs=space.interior_dofs,
-    )
+def interior_block(matrix: sp.spmatrix, space: FeSpace) -> sp.csr_matrix:
+    """Rows and columns of the interior DOFs of `space`.
 
-
-def apply_dirichlet(system: AssembledSystem) -> ReducedSystem:
-    """Remove boundary rows and columns (symmetric elimination).
-
-    With a homogeneous Dirichlet condition the eliminated columns multiply
-    zero boundary values, so the right-hand side only needs restricting.
-    Solutions of the reduced system are re-expanded with `ReducedSystem.expand`.
+    This is the elimination of a homogeneous Dirichlet condition: the
+    dropped columns multiply zero boundary values, so right-hand sides only
+    need restricting to the same DOFs.
     """
-    interior = system.interior_dofs
-    return ReducedSystem(
-        A=system.A[interior, :][:, interior].tocsr(),
-        Npart=system.Npart[interior, :][:, interior].tocsr(),
-        F=system.F[interior],
-        interior_dofs=interior,
-        n_total=system.space.n_dofs_total,
-    )
-
-
-def validate_ellipticity(spec: ProblemSpec, lower: float, upper: float,
-                         samples_per_axis: int = 8) -> None:
-    """Check eigenvalues of alpha on a sample grid against [lower, upper]."""
-    t = (np.arange(samples_per_axis) + 0.5) / samples_per_axis
-    x, y = np.meshgrid(t, t)
-    raw = np.asarray(spec.alpha(x.ravel(), y.ravel()), dtype=float)
-    if raw.ndim >= 2 and raw.shape[-2:] == (2, 2):
-        mats = np.broadcast_to(raw, (x.size, 2, 2))
-        eigs = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))
-    else:
-        eigs = np.broadcast_to(raw, (x.size,))
-    if eigs.min() < lower or eigs.max() > upper:
-        raise ValueError(
-            f"alpha eigenvalues span [{eigs.min():.6g}, {eigs.max():.6g}], "
-            f"outside the configured ellipticity bounds [{lower}, {upper}]"
-        )
-
-
-def export_operator(matrix: sp.spmatrix, path) -> None:
-    """Write an assembled operator in Matrix Market format (debug aid)."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, matrix)
+    interior = space.interior_dofs
+    return matrix.tocsr()[interior, :][:, interior].tocsr()

@@ -21,15 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .algorithms import (
-    IterationOperators,
-    TwoLevelConfig,
-    galerkin_solve,
-    run_correction_iteration,
-)
+from .algorithms import IterationOperators, galerkin_solve, run_correction_iteration
 from .analysis import ExperimentRow, h1_distance, h1_error, time_run
 from .assembly import ProblemSpec
-from .mesh import build_structured_mesh, refine_nested
+from .element import MAX_DEGREE
+from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
 from .solver import SolverError
 from .space import build_space, dof_count, interpolate
@@ -70,8 +66,10 @@ class RunConfig:
             raise UsageError(f"unknown algorithm {self.algorithm!r}")
         if not self.M_list:
             raise UsageError("at least one mesh size M is required")
-        if any(M < 1 for M in self.M_list):
-            raise UsageError(f"mesh sizes must be positive, got {list(self.M_list)}")
+        if any(not 1 <= M <= MAX_SUBDIVISIONS for M in self.M_list):
+            raise UsageError(
+                f"mesh sizes must be in [1, {MAX_SUBDIVISIONS}], got {list(self.M_list)}"
+            )
         if self.solver not in ("direct", "iterative"):
             raise UsageError(f"unknown solver choice {self.solver!r}")
         if self.output_format not in ("csv", "markdown"):
@@ -82,28 +80,35 @@ class RunConfig:
             raise UsageError(
                 f"error reference must be 'interpolant' or 'exact', got {self.error_against!r}"
             )
-        # Let TwoLevelConfig apply the scheme invariants.
+        if not 1 <= self.l <= MAX_DEGREE:
+            raise UsageError(f"degree l must be in [1, {MAX_DEGREE}], got {self.l}")
+        if self.algorithm != "galerkin" and self.k < 1:
+            raise UsageError(f"iteration count must be >= 1, got {self.k}")
         if self.algorithm == "two-level":
             if self.s is None:
                 raise UsageError("two-level runs need --s (fine degree)")
-            self.scheme()
+            if not self.l + 1 <= self.s <= MAX_DEGREE:
+                raise UsageError(
+                    f"fine degree must be in [{self.l + 1}, {MAX_DEGREE}], got {self.s}"
+                )
         elif self.algorithm == "two-grid":
-            self.scheme()
-        elif self.l < 1:
-            raise UsageError(f"degree must be positive, got {self.l}")
+            if self.fine_factor != "square" and (
+                not isinstance(self.fine_factor, int) or self.fine_factor < 2
+            ):
+                raise UsageError(
+                    f"two-grid refinement factor must be >= 2 or 'square', "
+                    f"got {self.fine_factor!r}"
+                )
+            fine_M = [M * self.resolved_fine_factor(M) for M in self.M_list]
+            if max(fine_M) > MAX_SUBDIVISIONS:
+                raise UsageError(
+                    f"two-grid fine meshes must have at most {MAX_SUBDIVISIONS} "
+                    f"subdivisions, got {fine_M}"
+                )
 
-    def scheme(self) -> Optional[TwoLevelConfig]:
-        if self.algorithm == "galerkin":
-            return None
-        try:
-            return TwoLevelConfig(
-                mode=self.algorithm,
-                coarse_degree=self.l,
-                fine=self.s if self.algorithm == "two-level" else self.fine_factor,
-                iterations=self.k,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    def resolved_fine_factor(self, M: int) -> int:
+        """The two-grid refinement factor for coarse mesh size M."""
+        return M if self.fine_factor == "square" else int(self.fine_factor)
 
     def resolved_scale_exponent(self) -> int:
         if self.scale_exponent is not None:
@@ -115,46 +120,33 @@ class RunConfig:
         return self.l
 
 
-def _solver_method(config: RunConfig) -> str:
-    return "direct" if config.solver == "direct" else "gmres"
-
-
 def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
                 timed: bool = True) -> ExperimentRow:
     """One table row.  Mesh and space construction stay outside the timer;
     the timed procedure covers operator assembly and every linear solve."""
-    scheme = config.scheme()
     mesh = build_structured_mesh(M, diagonal=config.mesh_diagonal)
-    s_or_r = config.l
+    coarse = build_space(mesh, config.l)
 
     if config.algorithm == "galerkin":
-        space = build_space(mesh, config.l)
-        coarse_dofs = fine_dofs = space.n_dofs_total
-        fine_space = space
-        k = 0
+        fine_space, s_or_r, k = coarse, config.l, 0
 
         def procedure():
-            return galerkin_solve(space, problem, method=_solver_method(config))
+            return galerkin_solve(coarse, problem, solver=config.solver)
 
     else:
-        k = config.k
         if config.algorithm == "two-level":
-            coarse = build_space(mesh, config.l)
-            fine_space = build_space(mesh, config.s)
             s_or_r = config.s
+            fine_space = build_space(mesh, config.s)
         else:
-            factor = scheme.resolve_fine_factor(M)
-            coarse = build_space(mesh, config.l)
-            fine_space = build_space(refine_nested(mesh, factor), config.l)
-            s_or_r = factor
-        coarse_dofs = coarse.n_dofs_total
-        fine_dofs = fine_space.n_dofs_total
-        method = _solver_method(config)
+            s_or_r = config.resolved_fine_factor(M)
+            fine_space = build_space(refine_nested(mesh, s_or_r), config.l)
+        k = config.k
 
         def procedure():
-            ops = IterationOperators(problem, coarse, fine_space, method=method)
-            return run_correction_iteration(ops, config.k).current
+            ops = IterationOperators(problem, coarse, fine_space, solver=config.solver)
+            return run_correction_iteration(ops, k).current
 
+    coarse_dofs, fine_dofs = coarse.n_dofs_total, fine_space.n_dofs_total
     try:
         if timed:
             coefficients, seconds = time_run(procedure)
@@ -203,7 +195,10 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
     config.parallel the rows are computed concurrently (capped by the
     TWOLEVEL_THREADS environment variable) and cpu_seconds is left blank.
     """
-    problem = get_problem(config.example)
+    try:
+        problem = get_problem(config.example)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if problem.exact_u is None or problem.exact_grad_u is None:
         raise UsageError(
             "the experiment tables need exact_u and exact_grad_u on the problem"
@@ -264,6 +259,10 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
     degrees = list(degrees)
     if not degrees:
         raise UsageError("at least one degree is required")
+    if any(not 1 <= d <= MAX_DEGREE for d in degrees):
+        raise UsageError(f"degrees must be in [1, {MAX_DEGREE}], got {degrees}")
+    if any(M < 1 for M in M_list):
+        raise UsageError(f"mesh sizes must be positive, got {list(M_list)}")
     first = degrees[0]
     header = [
         "H",

@@ -100,12 +100,6 @@ def tabulate_basis(element: ReferenceElement, points) -> tuple[np.ndarray, np.nd
     return values, gradients
 
 
-def eval_basis(element: ReferenceElement, point) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients of every basis function at one reference point."""
-    values, gradients = tabulate_basis(element, [point])
-    return values[0], gradients[0]
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Positive-weight rule on the reference triangle."""

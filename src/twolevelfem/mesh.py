@@ -11,6 +11,7 @@ from, so meshes can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,6 @@ class Mesh:
     vertices: np.ndarray             # (n_vertices, 2) float
     triangles: np.ndarray            # (n_triangles, 3) int, counterclockwise
     boundary_vertex_flags: np.ndarray  # (n_vertices,) bool
-    edges: np.ndarray                # (n_edges, 2) int, each pair sorted
-    boundary_edge_flags: np.ndarray  # (n_edges,) bool
     diagonal: str = "down"           # "down" (slope -1) or "up" (slope +1)
 
     @property
@@ -58,14 +57,30 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @cached_property
+    def _edge_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.concatenate(
+            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
+        )
+        pairs.sort(axis=1)
+        return np.unique(pairs, axis=0, return_counts=True)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(n_edges, 2) int vertex pairs, each pair sorted."""
+        return self._edge_counts[0]
+
+    @cached_property
+    def boundary_edge_flags(self) -> np.ndarray:
+        """(n_edges,) bool: the edges of only one triangle."""
+        return self._edge_counts[1] == 1
+
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
 
-def build_structured_mesh(
-    M: int, diagonal: str = "down", max_subdivisions: int = MAX_SUBDIVISIONS
-) -> Mesh:
+def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
     """Build the structured triangulation with M subdivisions per axis.
 
     `diagonal` picks the cell split: "down" cuts along the slope -1
@@ -73,9 +88,9 @@ def build_structured_mesh(
     """
     if not isinstance(M, (int, np.integer)):
         raise MeshSizeError(f"subdivision count must be an integer, got {M!r}")
-    if M < 1 or M > max_subdivisions:
+    if M < 1 or M > MAX_SUBDIVISIONS:
         raise MeshSizeError(
-            f"subdivision count must be in [1, {max_subdivisions}], got {M}"
+            f"subdivision count must be in [1, {MAX_SUBDIVISIONS}], got {M}"
         )
     if diagonal not in ("down", "up"):
         raise ValueError(f"diagonal must be 'down' or 'up', got {diagonal!r}")
@@ -103,25 +118,16 @@ def build_structured_mesh(
     on_edge[0, :] = on_edge[-1, :] = on_edge[:, 0] = on_edge[:, -1] = True
     boundary_vertex_flags = on_edge.ravel()
 
-    pairs = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    pairs.sort(axis=1)
-    edges, counts = np.unique(pairs, axis=0, return_counts=True)
-    boundary_edge_flags = counts == 1
-
     return Mesh(
         M=M,
         vertices=vertices,
         triangles=triangles,
         boundary_vertex_flags=boundary_vertex_flags,
-        edges=edges,
-        boundary_edge_flags=boundary_edge_flags,
         diagonal=diagonal,
     )
 
 
-def refine_nested(coarse: Mesh, r: int, max_subdivisions: int = MAX_SUBDIVISIONS) -> Mesh:
+def refine_nested(coarse: Mesh, r: int) -> Mesh:
     """Refine each cell r times per axis, giving a mesh nested in `coarse`.
 
     Because both meshes split their cells along the same diagonal, every
@@ -129,40 +135,4 @@ def refine_nested(coarse: Mesh, r: int, max_subdivisions: int = MAX_SUBDIVISIONS
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"refinement factor must be a positive integer, got {r!r}")
-    return build_structured_mesh(
-        coarse.M * int(r), diagonal=coarse.diagonal, max_subdivisions=max_subdivisions
-    )
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise ones)."""
-    v = mesh.vertices[mesh.triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def dump_mesh(mesh: Mesh, path=None) -> str:
-    """Serialize a mesh to the plain-text dump format.
-
-    The format lists vertex coordinates then triangle vertex indices::
-
-        vertices:
-        x y
-        ...
-        triangles:
-        i j k
-        ...
-
-    Debug aid only; nothing else consumes it.  If `path` is given the text is
-    also written to that file.
-    """
-    lines = ["vertices:"]
-    lines.extend(f"{x:.17g} {y:.17g}" for x, y in mesh.vertices)
-    lines.append("triangles:")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text
+    return build_structured_mesh(coarse.M * int(r), diagonal=coarse.diagonal)

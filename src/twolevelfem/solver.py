@@ -1,24 +1,26 @@
 """Sparse linear solvers with a uniform report.
 
-Direct factorization (SuperLU) is the default for both the symmetric
-positive definite sub-solves and the general nonsymmetric ones; Krylov
-methods are available behind the `method` flag for timing comparisons.
-Direct solves are polished with iterative refinement until the relative
-residual meets the tolerance, so the iteration never inherits solver noise.
+`make_factor` is the one entry point, for the symmetric positive definite
+sub-solves and the general nonsymmetric ones alike.  Direct factorization
+(SuperLU) is the default; restarted GMRES is available for timing
+comparisons.  Direct solves are polished with iterative refinement until the
+relative residual meets the tolerance, so the iteration never inherits
+solver noise.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DEFAULT_TOL = 1e-12
+TOL = 1e-12
 _MAX_REFINE = 3
+_KRYLOV_ITERS_PER_UNKNOWN = 10
 
 
 @dataclass
@@ -56,7 +58,7 @@ class DirectFactor:
             raise SolverError(f"direct factorization failed: {exc}") from exc
         self.factor_time_s = time.perf_counter() - t0
 
-    def solve(self, b: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, SolveReport]:
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         t0 = time.perf_counter()
         norm_b = np.linalg.norm(b)
         if norm_b == 0.0:
@@ -67,7 +69,7 @@ class DirectFactor:
         x = self._lu.solve(b)
         resid = _relative_residual(self.A, x, b, norm_b)
         refinements = 0
-        while resid > tol and refinements < _MAX_REFINE:
+        while resid > TOL and refinements < _MAX_REFINE:
             candidate = x + self._lu.solve(b - self.A @ x)
             new_resid = _relative_residual(self.A, candidate, b, norm_b)
             if not new_resid < resid:
@@ -79,10 +81,10 @@ class DirectFactor:
         if not np.isfinite(resid) or not np.all(np.isfinite(x)):
             raise SolverError("direct solve produced non-finite values "
                               "(matrix singular or near singular)", report)
-        if resid > tol and resid > self._residual_floor(x, b, norm_b):
+        if resid > TOL and resid > self._residual_floor(x, b, norm_b):
             raise SolverError(
                 f"direct solve stalled at relative residual {resid:.3e} "
-                f"(tolerance {tol:.1e})", report)
+                f"(tolerance {TOL:.1e})", report)
         return x, report
 
     def _residual_floor(self, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
@@ -99,84 +101,40 @@ class DirectFactor:
         return 8.0 * np.finfo(float).eps * float(scale) / norm_b
 
 
-def _empty_solution(method: str) -> tuple[np.ndarray, SolveReport]:
-    return np.zeros(0), SolveReport(method, 0, 0.0, 0.0, 0.0)
-
-
-def _krylov_solve(A, b, tol, maxiter, method: str) -> tuple[np.ndarray, SolveReport]:
+def _krylov_solve(A, b) -> tuple[np.ndarray, SolveReport]:
+    """Restarted GMRES from the zero guess, at most 10 iterations per unknown."""
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), SolveReport(method, 0, 0.0, 0.0, 0.0)
+        return np.zeros_like(b), SolveReport("gmres", 0, 0.0, 0.0, 0.0)
     count = {"n": 0}
 
     def tick(_):
         count["n"] += 1
 
+    maxiter = _KRYLOV_ITERS_PER_UNKNOWN * A.shape[0]
     t0 = time.perf_counter()
-    if method == "cg":
-        x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=maxiter, callback=tick)
-    else:
-        x, info = spla.gmres(A, b, rtol=tol, atol=0.0, maxiter=maxiter,
-                             restart=50, callback=tick,
-                             callback_type="legacy")
+    x, info = spla.gmres(A, b, rtol=TOL, atol=0.0, maxiter=maxiter,
+                         restart=50, callback=tick, callback_type="legacy")
     elapsed = time.perf_counter() - t0
     resid = _relative_residual(A, x, b, norm_b)
-    report = SolveReport(method, count["n"], resid, 0.0, elapsed)
-    if info != 0 or resid > tol:
+    report = SolveReport("gmres", count["n"], resid, 0.0, elapsed)
+    if info != 0 or resid > TOL:
         raise SolverError(
-            f"{method} did not converge within {maxiter} iterations "
-            f"(relative residual {resid:.3e}, tolerance {tol:.1e})", report)
+            f"gmres did not converge within {maxiter} iterations "
+            f"(relative residual {resid:.3e}, tolerance {TOL:.1e})", report)
     return x, report
 
 
-def solve_spd(A: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-              method: str = "direct", maxiter: Optional[int] = None
-              ) -> tuple[np.ndarray, SolveReport]:
-    """Solve a symmetric positive definite system.
+def make_factor(A: sp.spmatrix, solver: str = "direct"
+                ) -> Callable[[np.ndarray], tuple[np.ndarray, SolveReport]]:
+    """The solve of A x = b for repeated right-hand sides: b -> (x, report).
 
-    method is "direct" (default) or "cg".  Raises SolverError on breakdown,
-    singularity or non-convergence.
+    solver is "direct" (SuperLU, factored once here and shared by every
+    call) or "iterative" (GMRES from scratch on every call).  Raises
+    SolverError on breakdown, singularity or non-convergence.
     """
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] == 0:
-        return _empty_solution(method)
-    if method == "direct":
-        return DirectFactor(A).solve(b, tol)
-    if method == "cg":
-        return _krylov_solve(A, b, tol, maxiter or 10 * A.shape[0], "cg")
-    raise ValueError(f"unknown SPD solve method {method!r}")
-
-
-def solve_general(K: sp.spmatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-                  method: str = "direct", maxiter: Optional[int] = None
-                  ) -> tuple[np.ndarray, SolveReport]:
-    """Solve a general (nonsymmetric, possibly indefinite) system.
-
-    method is "direct" (default) or "gmres".
-    """
-    b = np.asarray(b, dtype=float)
-    if K.shape[0] == 0:
-        return _empty_solution(method)
-    if method == "direct":
-        return DirectFactor(K).solve(b, tol)
-    if method == "gmres":
-        return _krylov_solve(K, b, tol, maxiter or 10 * K.shape[0], "gmres")
-    raise ValueError(f"unknown general solve method {method!r}")
-
-
-def make_factor(A: sp.spmatrix, method: str = "direct", tol: float = DEFAULT_TOL,
-                maxiter: Optional[int] = None):
-    """A reusable solve closure for repeated right-hand sides.
-
-    With the direct method the factorization is computed once and shared by
-    every call; with a Krylov method each call iterates from scratch.
-    """
-    if A.shape[0] == 0:
-        return lambda b: np.zeros(0)
-    if method == "direct":
-        factor = DirectFactor(A)
-        return lambda b: factor.solve(np.asarray(b, dtype=float), tol)[0]
-    if method in ("cg", "gmres"):
-        return lambda b: _krylov_solve(A, np.asarray(b, dtype=float), tol,
-                                       maxiter or 10 * A.shape[0], method)[0]
-    raise ValueError(f"unknown solve method {method!r}")
+    if solver == "iterative":
+        return lambda b: _krylov_solve(A, b)
+    if solver != "direct":
+        raise ValueError(f"unknown solver {solver!r}")
+    return DirectFactor(A).solve

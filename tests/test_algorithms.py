@@ -6,20 +6,28 @@ import pytest
 from twolevelfem import (
     IterationOperators,
     ProblemSpec,
-    TwoLevelConfig,
     build_space,
     build_structured_mesh,
-    build_two_grid_spaces,
     galerkin_solve,
     h1_distance,
     h1_error,
     interpolate,
     refine_nested,
     run_correction_iteration,
-    two_grid_iterate,
     two_level_iterate,
 )
+from twolevelfem.cli import RunConfig, UsageError, run_experiment
 from twolevelfem.problems import example_1, example_2
+
+
+def two_grid_spaces(M, degree, factor):
+    """Coarse and fine spaces of a two-grid pair (fine mesh nested by `factor`)."""
+    mesh = build_structured_mesh(M)
+    return build_space(mesh, degree), build_space(refine_nested(mesh, factor), degree)
+
+
+def iterate(spec, coarse, fine, k):
+    return run_correction_iteration(IterationOperators(spec, coarse, fine), k)
 
 
 def poisson_like():
@@ -36,33 +44,37 @@ def poisson_like():
     )
 
 
+def run_config(algorithm, l=3, s=None, k=3, fine_factor="square", M_list=(9,)):
+    return RunConfig(example="1", algorithm=algorithm, l=l, s=s, k=k,
+                     M_list=M_list, fine_factor=fine_factor)
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="three-grid", coarse_degree=3, fine=6)
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-level", coarse_degree=0, fine=2)
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-level", coarse_degree=3, fine=3)
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-level", coarse_degree=3, fine=7)
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-level", coarse_degree=3, fine="square")
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-grid", coarse_degree=3, fine=1)
-    with pytest.raises(ValueError):
-        TwoLevelConfig(mode="two-grid", coarse_degree=3, fine=2, iterations=0)
-    TwoLevelConfig(mode="two-level", coarse_degree=3, fine=4)
-    TwoLevelConfig(mode="two-grid", coarse_degree=3, fine="square")
+    with pytest.raises(UsageError):
+        run_config("three-grid", s=6)
+    with pytest.raises(UsageError):
+        run_config("two-level", l=0, s=2)
+    with pytest.raises(UsageError):
+        run_config("two-level", l=3, s=3)
+    with pytest.raises(UsageError):
+        run_config("two-level", l=3, s=7)
+    with pytest.raises(UsageError):
+        run_config("two-grid", fine_factor=1)
+    with pytest.raises(UsageError):
+        run_config("two-grid", fine_factor=2, k=0)
+    with pytest.raises(UsageError):
+        run_config("galerkin", l=7)
+    run_config("two-level", s=4)
+    run_config("two-grid")
 
 
 def test_resolve_fine_factor():
-    square = TwoLevelConfig(mode="two-grid", coarse_degree=3, fine="square")
-    assert square.resolve_fine_factor(9) == 9
-    fixed = TwoLevelConfig(mode="two-grid", coarse_degree=3, fine=4)
-    assert fixed.resolve_fine_factor(9) == 4
-    level = TwoLevelConfig(mode="two-level", coarse_degree=3, fine=6)
-    with pytest.raises(ValueError):
-        level.resolve_fine_factor(9)
+    assert run_config("two-grid").resolved_fine_factor(9) == 9
+    assert run_config("two-grid", fine_factor=4).resolved_fine_factor(9) == 4
+    # h = H^2 caps the coarse size at 64 (4096 fine subdivisions).
+    run_config("two-grid", M_list=(64,))
+    with pytest.raises(UsageError):
+        run_config("two-grid", M_list=(65,))
 
 
 def test_galerkin_zero_source_gives_zero():
@@ -97,8 +109,8 @@ def test_degenerate_lower_order_two_level_recovers_galerkin():
 
 def test_degenerate_lower_order_two_grid_recovers_galerkin():
     spec = poisson_like()
-    coarse, fine = build_two_grid_spaces(4, 1, factor=2)
-    state = two_grid_iterate(spec, coarse, fine, k=1)
+    coarse, fine = two_grid_spaces(4, 1, factor=2)
+    state = iterate(spec, coarse, fine, k=1)
     reference = galerkin_solve(fine, spec)
     assert h1_distance(fine, state.current, reference) <= 1e-10
 
@@ -125,16 +137,16 @@ def test_iterate_contracts_to_fine_galerkin_solution():
     """Each round shrinks the distance to the fine Galerkin solution by a
     mesh-dependent factor; enough rounds reach solver precision."""
     problem = example_1()
-    coarse, fine = build_two_grid_spaces(3, 2, factor=3)
+    coarse, fine = two_grid_spaces(3, 2, factor=3)
     reference = galerkin_solve(fine, problem)
     distances = [
-        h1_distance(fine, two_grid_iterate(problem, coarse, fine, k=k).current,
+        h1_distance(fine, iterate(problem, coarse, fine, k=k).current,
                     reference)
         for k in (1, 2, 3)
     ]
     assert distances[1] < 0.5 * distances[0]
     assert distances[2] < 0.5 * distances[1]
-    settled = two_grid_iterate(problem, coarse, fine, k=10)
+    settled = iterate(problem, coarse, fine, k=10)
     assert h1_distance(fine, settled.current, reference) <= 1e-10
 
 
@@ -155,26 +167,17 @@ def test_iteration_state_bookkeeping():
     assert state.residual_history[-1] <= state.residual_history[0]
 
 
-def test_residual_stop_ends_early():
-    problem = example_1()
-    mesh = build_structured_mesh(3)
-    eager = two_level_iterate(problem, 1, 3, mesh, k=5, residual_stop=1.0)
-    assert eager.iteration == 1
-    full = two_level_iterate(problem, 1, 3, mesh, k=5, residual_stop=1e-30)
-    assert full.iteration == 5
-
-
 def test_two_grid_rejects_bad_space_pairs():
     problem = example_1()
     mesh = build_structured_mesh(3)
     same = build_space(mesh, 2)
     with pytest.raises(ValueError):
-        two_grid_iterate(problem, same, build_space(mesh, 2), k=1)
+        IterationOperators(problem, same, build_space(mesh, 2))
     with pytest.raises(ValueError):
-        two_grid_iterate(problem, same, build_space(build_structured_mesh(5), 2), k=1)
+        IterationOperators(problem, same, build_space(build_structured_mesh(5), 2))
     fine_mesh = refine_nested(mesh, 2)
     with pytest.raises(ValueError):
-        two_grid_iterate(problem, same, build_space(fine_mesh, 3), k=1)
+        IterationOperators(problem, same, build_space(fine_mesh, 3))
 
 
 def test_two_level_rejects_non_increasing_degree():
@@ -182,6 +185,8 @@ def test_two_level_rejects_non_increasing_degree():
     mesh = build_structured_mesh(3)
     with pytest.raises(ValueError):
         two_level_iterate(problem, 3, 3, mesh, k=1)
+    with pytest.raises(ValueError):
+        two_level_iterate(problem, 3, 2, mesh, k=1)
 
 
 def test_run_correction_iteration_rejects_zero_rounds():
@@ -193,10 +198,14 @@ def test_run_correction_iteration_rejects_zero_rounds():
 
 
 def test_build_two_grid_spaces_shapes():
-    coarse, fine = build_two_grid_spaces(3, 2, factor=4)
-    assert coarse.mesh.M == 3
-    assert fine.mesh.M == 12
-    assert coarse.degree == fine.degree == 2
+    """A two-grid row at factor 4 solves on M=3 and its M=12 refinement at
+    the same degree."""
+    config = RunConfig(example="1", algorithm="two-grid", l=2, s=None, k=1,
+                       M_list=(3,), fine_factor=4)
+    [row] = run_experiment(config)
+    assert row.s_or_r == 4
+    assert row.dofs_coarse == (2 * 3 + 1) ** 2
+    assert row.dofs_fine == (2 * 12 + 1) ** 2
 
 
 def test_reference_error_two_grid_small_case():
@@ -204,8 +213,8 @@ def test_reference_error_two_grid_small_case():
     h=H^2, three rounds, measured against the interpolant of the exact
     solution in the fine space: 9.8925e-07 (reference digits)."""
     problem = example_1()
-    coarse, fine = build_two_grid_spaces(9, 3, factor=9)
-    state = two_grid_iterate(problem, coarse, fine, k=3)
+    coarse, fine = two_grid_spaces(9, 3, factor=9)
+    state = iterate(problem, coarse, fine, k=3)
     reference = interpolate(fine, problem.exact_u)
     err = h1_distance(fine, state.current, reference)
     assert err == pytest.approx(9.8925e-07, rel=5e-2)

@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.io import mmread
 
 from twolevelfem import (
     MeshGeometryError,
     ProblemSpec,
-    apply_dirichlet,
     assemble_load,
     assemble_nonsym,
     assemble_stiffness,
-    assemble_system,
     build_prolongation,
     build_space,
     build_structured_mesh,
-    export_operator,
+    galerkin_solve,
+    interior_block,
     interpolate,
-    validate_ellipticity,
 )
 from twolevelfem.assembly import element_geometry
 from twolevelfem.element import tabulate_basis
@@ -191,25 +187,24 @@ def test_galerkin_identity_between_degrees():
 
 
 def test_apply_dirichlet_empty_interior():
-    system = assemble_system(build_space(build_structured_mesh(1), 1), example_1())
-    reduced = apply_dirichlet(system)
-    assert reduced.A.shape == (0, 0)
-    assert reduced.F.shape == (0,)
-    assert np.array_equal(reduced.expand(np.zeros(0)), np.zeros(4))
+    """M=1, P1 has no interior DOF: the eliminated system is empty and the
+    Galerkin solution is the zero boundary data."""
+    space = build_space(build_structured_mesh(1), 1)
+    assert interior_block(assemble_stiffness(space, example_1()), space).shape == (0, 0)
+    assert np.array_equal(galerkin_solve(space, example_1()), np.zeros(4))
 
 
 def test_apply_dirichlet_interior_size():
-    system = assemble_system(build_space(build_structured_mesh(9), 3), example_1())
-    reduced = apply_dirichlet(system)
-    assert reduced.A.shape == (676, 676)  # 784 total minus 4*3*9 boundary
-    assert reduced.Npart.shape == (676, 676)
-    x = np.arange(676, dtype=float)
-    full = reduced.expand(x)
-    assert full.shape == (784,)
-    assert np.array_equal(full[reduced.interior_dofs], x)
-    mask = np.ones(784, dtype=bool)
-    mask[reduced.interior_dofs] = False
-    assert np.all(full[mask] == 0.0)
+    space = build_space(build_structured_mesh(9), 3)
+    problem = example_1()
+    A = interior_block(assemble_stiffness(space, problem), space)
+    Npart = interior_block(assemble_nonsym(space, problem), space)
+    assert A.shape == (676, 676)  # 784 total minus 4*3*9 boundary
+    assert Npart.shape == (676, 676)
+    u = galerkin_solve(space, problem)
+    assert u.shape == (784,)
+    assert np.all(u[space.boundary_dofs] == 0.0)
+    assert np.any(u[space.interior_dofs] != 0.0)
 
 
 def test_reduced_stiffness_positive_definite_across_sizes():
@@ -242,28 +237,11 @@ def test_degenerate_triangle_rejected():
         vertices=vertices,
         triangles=triangles,
         boundary_vertex_flags=np.ones(4, dtype=bool),
-        edges=np.zeros((0, 2), dtype=np.int64),
-        boundary_edge_flags=np.zeros(0, dtype=bool),
     )
     with pytest.raises(MeshGeometryError):
         element_geometry(mesh)
     with pytest.raises(MeshGeometryError):
         assemble_stiffness(build_space(mesh, 1), constant_problem())
-
-
-def test_validate_ellipticity():
-    validate_ellipticity(example_1(), 0.5, 2.0)
-    with pytest.raises(ValueError):
-        validate_ellipticity(example_1(), 1.5, 2.0)
-    matrix_spec = ProblemSpec(
-        alpha=lambda x, y: np.array([[2.0, 0.0], [0.0, 0.1]]),
-        beta=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        gamma=lambda x, y: np.zeros_like(x),
-        f=lambda x, y: np.zeros_like(x),
-    )
-    validate_ellipticity(matrix_spec, 0.05, 3.0)
-    with pytest.raises(ValueError):
-        validate_ellipticity(matrix_spec, 0.5, 3.0)
 
 
 def test_matrix_alpha_matches_scalar_alpha():
@@ -282,18 +260,22 @@ def test_matrix_alpha_matches_scalar_alpha():
 
 
 def test_assemble_system_bundle():
+    """Stiffness, lower-order part and load of one space share its DOF
+    numbering."""
     space = build_space(build_structured_mesh(3), 2)
-    system = assemble_system(space, example_1())
-    assert system.space is space
-    assert system.A.shape == (space.n_dofs_total,) * 2
-    assert system.F.shape == (space.n_dofs_total,)
-    assert np.array_equal(system.interior_dofs, space.interior_dofs)
+    problem = example_1()
+    n = space.n_dofs_total
+    assert assemble_stiffness(space, problem).shape == (n, n)
+    assert assemble_nonsym(space, problem).shape == (n, n)
+    assert assemble_load(space, problem.f).shape == (n,)
 
 
-def test_export_operator_roundtrip(tmp_path):
-    space = build_space(build_structured_mesh(2), 1)
-    A = assemble_stiffness(space, constant_problem())
-    path = tmp_path / "operator.mtx"
-    export_operator(A, path)
-    back = mmread(path).tocsr()
-    assert np.abs((back - A).toarray()).max() <= 1e-15
+def test_beta_of_wrong_shape_is_named():
+    spec = ProblemSpec(
+        alpha=lambda x, y: np.ones_like(x),
+        beta=lambda x, y: np.zeros_like(x),
+        gamma=lambda x, y: np.zeros_like(x),
+        f=lambda x, y: np.ones_like(x),
+    )
+    with pytest.raises(ValueError, match="beta returned shape"):
+        assemble_nonsym(build_space(build_structured_mesh(2), 1), spec)

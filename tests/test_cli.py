@@ -119,6 +119,12 @@ def test_dof_table_markdown(capsys):
         ["--example", "1", "--algorithm", "two-level", "--l", "3", "--s", "3", "--M", "2"],
         ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
          "--mesh-diagonal", "left"],
+        ["--example", "1", "--algorithm", "galerkin", "--l", "7", "--M", "2"],
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "5000"],
+        ["--example", "1", "--algorithm", "two-grid", "--M", "65"],  # 65^2 > 4096
+        ["--example", "/nonexistent.py", "--algorithm", "galerkin", "--M", "2"],
+        ["--dof-table", "--M", "2", "--degrees", "7"],
+        ["--dof-table", "--M", "0"],
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):

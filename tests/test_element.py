@@ -12,7 +12,6 @@ import pytest
 from twolevelfem import (
     build_quadrature,
     build_reference_element,
-    eval_basis,
     tabulate_basis,
 )
 
@@ -81,26 +80,26 @@ def test_linear_basis_closed_form():
 def test_degree_six_nodal_at_first_node():
     elem = build_reference_element(6)
     assert elem.n_basis == 28
-    values, _ = eval_basis(elem, elem.nodes[0])
-    assert values[0] == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(values[1:]).max() <= 1e-10
+    values, _ = tabulate_basis(elem, [elem.nodes[0]])
+    assert values[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(values[0, 1:]).max() <= 1e-10
 
 
 def test_eval_basis_at_vertices_and_midpoint():
-    values, _ = eval_basis(build_reference_element(1), (0.0, 0.0))
-    assert np.allclose(values, [1.0, 0.0, 0.0], atol=1e-12)
+    values, _ = tabulate_basis(build_reference_element(1), [(0.0, 0.0)])
+    assert np.allclose(values[0], [1.0, 0.0, 0.0], atol=1e-12)
     elem2 = build_reference_element(2)
-    values, _ = eval_basis(elem2, (0.5, 0.0))
+    values, _ = tabulate_basis(elem2, [(0.5, 0.0)])
     node = np.argmin(np.abs(elem2.nodes - [0.5, 0.0]).sum(axis=1))
     expected = np.zeros(6)
     expected[node] = 1.0
-    assert np.allclose(values, expected, atol=1e-10)
+    assert np.allclose(values[0], expected, atol=1e-10)
 
 
 def test_centroid_sums():
-    values, gradients = eval_basis(build_reference_element(3), (1 / 3, 1 / 3))
-    assert values.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.abs(gradients.sum(axis=0)).max() <= 1e-9
+    values, gradients = tabulate_basis(build_reference_element(3), [(1 / 3, 1 / 3)])
+    assert values[0].sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(gradients[0].sum(axis=0)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("degree", [0, 7, -1])

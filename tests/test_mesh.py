@@ -1,15 +1,10 @@
-"""Mesh construction: counts, geometry, nesting, dump format, rejection paths."""
+"""Mesh construction: counts, geometry, nesting, rejection paths."""
 
 import numpy as np
 import pytest
 
-from twolevelfem import (
-    MeshSizeError,
-    build_structured_mesh,
-    dump_mesh,
-    refine_nested,
-    triangle_areas,
-)
+from twolevelfem import MeshSizeError, build_structured_mesh, refine_nested
+from twolevelfem.assembly import element_geometry
 
 DIAGONALS = ["down", "up"]
 
@@ -29,6 +24,9 @@ def test_entity_counts(M, diagonal):
 def test_smallest_mesh_counts():
     mesh = build_structured_mesh(1)
     assert (mesh.n_vertices, mesh.n_triangles, mesh.n_edges) == (4, 2, 5)
+    # Vertex and triangle numbering of the smallest "down" mesh.
+    assert mesh.vertices.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 def test_quarter_mesh_counts():
@@ -45,7 +43,7 @@ def test_m9_counts():
 @pytest.mark.parametrize("M", [1, 3, 7])
 def test_areas_uniform_and_positive(M, diagonal):
     mesh = build_structured_mesh(M, diagonal=diagonal)
-    areas = triangle_areas(mesh)
+    areas = 0.5 * element_geometry(mesh)[2]
     assert np.all(areas > 0)  # counterclockwise orientation
     assert np.allclose(areas, 1.0 / (2 * M * M), rtol=0, atol=1e-15)
     assert abs(areas.sum() - 1.0) <= 1e-14
@@ -169,21 +167,3 @@ def test_rejects_bad_refinement_factor():
         refine_nested(mesh, 0)
     with pytest.raises(MeshSizeError):
         refine_nested(mesh, 5000)
-
-
-def test_dump_format(tmp_path):
-    mesh = build_structured_mesh(1)
-    text = dump_mesh(mesh)
-    assert text == "vertices:\n0 0\n1 0\n0 1\n1 1\ntriangles:\n0 1 2\n1 3 2\n"
-    out = tmp_path / "mesh.txt"
-    dump_mesh(mesh, out)
-    assert out.read_text() == text
-
-
-def test_dump_sections_scale_with_mesh():
-    mesh = build_structured_mesh(3)
-    lines = dump_mesh(mesh).splitlines()
-    split = lines.index("triangles:")
-    assert lines[0] == "vertices:"
-    assert split - 1 == mesh.n_vertices
-    assert len(lines) - split - 1 == mesh.n_triangles
