@@ -23,6 +23,7 @@ from .analysis import (
     time_run,
 )
 from .assembly import (
+    CoefficientError,
     ProblemSpec,
     assemble_load,
     assemble_nonsym,
@@ -58,6 +59,7 @@ from .space import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CoefficientError",
     "ExperimentRow",
     "FeSpace",
     "IterateState",

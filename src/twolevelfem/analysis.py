@@ -9,15 +9,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (
-    ProblemSpec,
-    _blocks,
-    assemble_nonsym,
-    assemble_stiffness,
-    element_geometry,
-    _physical_gradients,
-    _physical_points,
-)
+from .assembly import checked_field, default_assembly_quadrature, element_blocks
+# perfbench/spans.py wraps these two at this module; nothing here calls them.
+from .assembly import assemble_nonsym, assemble_stiffness  # noqa: F401
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .space import FeSpace
 
@@ -44,62 +38,50 @@ def error_quadrature(degree: int) -> QuadratureRule:
     return build_quadrature(2 * degree + 6)
 
 
+def _h1_squared(space: FeSpace, coefficients: np.ndarray, quad: QuadratureRule,
+                exact_u: Optional[Callable] = None,
+                exact_grad_u: Optional[Callable] = None) -> float:
+    """Integral of (u_h - u)^2 + |grad u_h - grad u|^2 by `quad`, block by
+    block, with u = 0 when no exact solution is given."""
+    vals, ref_grads = tabulate_basis(space.element, quad.points)
+    total = 0.0
+    for block, pts, wdet, inv in element_blocks(space, quad):
+        local = coefficients[space.cell_to_dofs[block]]           # (e, n_local)
+        uh = local @ vals.T                                       # (e, q)
+        guh = np.tensordot(local, ref_grads, axes=(1, 1)) @ inv   # (e, q, 2)
+        if exact_u is not None:
+            x, y = pts[..., 0], pts[..., 1]
+            uh = uh - checked_field(exact_u(x, y), uh.shape, "exact_u")
+            guh = guh - checked_field(exact_grad_u(x, y), guh.shape, "exact_grad_u")
+        total += float(np.sum(wdet * (uh**2 + np.sum(guh**2, axis=-1))))
+    return total
+
+
 def h1_error(space: FeSpace, coefficients: np.ndarray, exact_u: Callable,
              exact_grad_u: Callable) -> float:
     """Full H1-norm error of a finite element function against an exact one.
 
-    Integrates (u_h - u)^2 + |grad u_h - grad u|^2 elementwise and returns
-    the square root.  `exact_grad_u(x, y)` must return the gradient with the
-    component axis last.
+    `exact_grad_u(x, y)` must return the gradient with the component axis
+    last.
     """
-    quad = error_quadrature(space.degree)
     coefficients = np.asarray(coefficients, dtype=float)
-    vals, ref_grads = tabulate_basis(space.element, quad.points)
-    v0, jac, det, inv = element_geometry(space.mesh)
-
-    total = 0.0
-    for block in _blocks(space.mesh.n_triangles):
-        local = coefficients[space.cell_to_dofs[block]]           # (e, n_local)
-        grads = _physical_gradients(inv[block], ref_grads)        # (e, q, i, 2)
-        pts = _physical_points(v0[block], jac[block], quad.points)
-        wdet = det[block][:, None] * quad.weights[None, :]
-
-        uh = local @ vals.T                                       # (e, q)
-        guh = np.einsum("eqia,ei->eqa", grads, local)
-        ue = np.asarray(exact_u(pts[..., 0], pts[..., 1]), dtype=float)
-        gue = np.asarray(exact_grad_u(pts[..., 0], pts[..., 1]), dtype=float)
-        diff2 = (uh - ue) ** 2 + np.sum((guh - gue) ** 2, axis=-1)
-        total += float(np.sum(wdet * diff2))
-    return float(np.sqrt(total))
-
-
-# Unit-coefficient forms whose stiffness and lower-order matrices add up to
-# the H1 energy matrix.
-_H1_FORM = ProblemSpec(
-    alpha=lambda x, y: np.ones_like(x),
-    beta=lambda x, y: np.zeros(np.shape(x) + (2,)),
-    gamma=lambda x, y: np.ones_like(x),
-    f=lambda x, y: np.zeros_like(x),
-    name="h1-energy",
-)
+    quad = error_quadrature(space.degree)
+    return float(np.sqrt(_h1_squared(space, coefficients, quad, exact_u, exact_grad_u)))
 
 
 def h1_norm_discrete(space: FeSpace, coefficients) -> float:
     """H1 norm of a member of the space, from its coefficient vector.
 
-    Computes sqrt(c^T (K + Mass) c) with the unit-coefficient stiffness and
-    mass matrices.  The assembly quadrature integrates products of basis
-    functions exactly, so up to roundoff this is the exact H1 norm of the
-    piecewise polynomial, with no quadrature-of-the-exact-solution error.
+    The assembly quadrature integrates products of basis functions exactly,
+    so up to roundoff this is the exact H1 norm of the piecewise polynomial,
+    with no quadrature-of-the-exact-solution error.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (space.n_dofs_total,):
         raise ValueError(
             f"expected {space.n_dofs_total} coefficients, got shape {c.shape}"
         )
-    stiff = assemble_stiffness(space, _H1_FORM)
-    mass = assemble_nonsym(space, _H1_FORM)
-    return float(np.sqrt(abs(c @ (stiff @ c) + c @ (mass @ c))))
+    return float(np.sqrt(_h1_squared(space, c, default_assembly_quadrature(space.degree))))
 
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:

@@ -71,39 +71,53 @@ def element_geometry(mesh: Mesh):
     return v[:, 0], jac, det, inv
 
 
-def _blocks(n: int, size: int = _BLOCK):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
+class CoefficientError(ValueError):
+    """A coefficient or exact-solution callable returned values of the wrong
+    shape or non-finite values."""
 
 
-def _field(raw, shape, what: str) -> np.ndarray:
+def checked_field(raw, shape, what: str) -> np.ndarray:
+    """The values a callable returned, broadcast to `shape` and finite."""
     field = np.asarray(raw, dtype=float)
     try:
-        return np.broadcast_to(field, shape)
+        field = np.broadcast_to(field, shape)
     except ValueError:
-        raise ValueError(f"{what} returned shape {field.shape}, expected {shape}") from None
+        raise CoefficientError(
+            f"{what} returned shape {field.shape}, expected {shape}"
+        ) from None
+    if not np.isfinite(field).all():
+        raise CoefficientError(f"{what} returned non-finite values")
+    return field
 
 
-def _physical_points(v0, jac, ref_points):
-    return v0[:, None, :] + np.einsum("eab,qb->eqa", jac, ref_points)
+def element_blocks(space: FeSpace, quad: QuadratureRule):
+    """Walk the triangles of `space` in blocks of at most _BLOCK.
+
+    Yields (block, pts, wdet, inv): the slice of triangles, the physical
+    quadrature points (e, q, 2), the quadrature weights times the Jacobian
+    determinants (e, q) and the inverse Jacobians (e, 2, 2).
+    """
+    v0, jac, det, inv = element_geometry(space.mesh)
+    n = space.mesh.n_triangles
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
+        pts = v0[block, None, :] + np.einsum("eab,qb->eqa", jac[block], quad.points)
+        yield block, pts, det[block, None] * quad.weights[None, :], inv[block]
 
 
-def _physical_gradients(inv, ref_grads):
-    # grad_x phi = J^{-T} grad_ref phi
-    return np.einsum("eca,qic->eqia", inv, ref_grads)
+def _physical_gradients(ref_grads, inv):
+    # grad_x phi = J^{-T} grad_ref phi, as (e, q, i, 2)
+    return (ref_grads.reshape(-1, 2) @ inv).reshape(inv.shape[0], *ref_grads.shape)
 
 
-def _scatter(space: FeSpace, block: slice, local: np.ndarray, rows, cols, data):
-    dofs = space.cell_to_dofs[block]
+def _to_csr(space: FeSpace, local: list) -> sp.csr_matrix:
+    """Sum the local matrices of every block, in element_blocks order."""
+    dofs = space.cell_to_dofs
     nb = dofs.shape[1]
-    rows.append(np.repeat(dofs, nb, axis=1).ravel())
-    cols.append(np.tile(dofs, (1, nb)).ravel())
-    data.append(local.ravel())
-
-
-def _to_csr(rows, cols, data, n: int) -> sp.csr_matrix:
+    n = space.n_dofs_total
     matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([m.ravel() for m in local]),
+         (np.repeat(dofs, nb, axis=1).ravel(), np.tile(dofs, (1, nb)).ravel())),
         shape=(n, n),
     ).tocsr()
     matrix.sort_indices()
@@ -114,70 +128,57 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i."""
     quad = default_assembly_quadrature(space.degree)
     _, ref_grads = tabulate_basis(space.element, quad.points)
-    v0, jac, det, inv = element_geometry(space.mesh)
     nb = space.element.n_basis
     nq = quad.n_points
 
-    rows, cols, data = [], [], []
-    for block in _blocks(space.mesh.n_triangles):
-        grads = _physical_gradients(inv[block], ref_grads)       # (e, q, i, 2)
-        pts = _physical_points(v0[block], jac[block], quad.points)
-        wdet = det[block][:, None] * quad.weights[None, :]        # (e, q)
+    local = []
+    for _, pts, wdet, inv in element_blocks(space, quad):
+        grads = _physical_gradients(ref_grads, inv)               # (e, q, i, 2)
         ne = grads.shape[0]
 
         raw = np.asarray(spec.alpha(pts[..., 0], pts[..., 1]), dtype=float)
-        if raw.ndim >= 2 and raw.shape[-2:] == (2, 2):
-            amat = np.broadcast_to(raw, (ne, nq, 2, 2))
+        if raw.shape[-2:] == (2, 2):
+            amat = checked_field(raw, (ne, nq, 2, 2), "alpha")
             weighted = np.einsum("eqab,eqjb->eqja", amat, grads) * wdet[..., None, None]
         else:
-            avals = _field(raw, wdet.shape, "alpha")
+            avals = checked_field(raw, wdet.shape, "alpha")
             weighted = grads * (avals * wdet)[..., None, None]
 
         left = grads.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
         right = weighted.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
-        local = left @ right.transpose(0, 2, 1)
-        _scatter(space, block, local, rows, cols, data)
+        local.append(left @ right.transpose(0, 2, 1))
 
-    return _to_csr(rows, cols, data, space.n_dofs_total)
+    return _to_csr(space, local)
 
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i."""
     quad = default_assembly_quadrature(space.degree)
     vals, ref_grads = tabulate_basis(space.element, quad.points)
-    v0, jac, det, inv = element_geometry(space.mesh)
-    nq = quad.n_points
 
-    rows, cols, data = [], [], []
-    for block in _blocks(space.mesh.n_triangles):
-        grads = _physical_gradients(inv[block], ref_grads)
-        pts = _physical_points(v0[block], jac[block], quad.points)
-        wdet = det[block][:, None] * quad.weights[None, :]
-        ne = grads.shape[0]
-
-        bvals = _field(spec.beta(pts[..., 0], pts[..., 1]), (ne, nq, 2), "beta")
-        gvals = _field(spec.gamma(pts[..., 0], pts[..., 1]), wdet.shape, "gamma")
+    local = []
+    for _, pts, wdet, inv in element_blocks(space, quad):
+        grads = _physical_gradients(ref_grads, inv)
+        x, y = pts[..., 0], pts[..., 1]
+        bvals = checked_field(spec.beta(x, y), wdet.shape + (2,), "beta")
+        gvals = checked_field(spec.gamma(x, y), wdet.shape, "gamma")
 
         trial = np.einsum("eqa,eqja->eqj", bvals, grads)
         trial += gvals[..., None] * vals[None, :, :]
-        local = np.matmul(vals.T[None, :, :], trial * wdet[..., None])
-        _scatter(space, block, local, rows, cols, data)
+        local.append(np.matmul(vals.T[None, :, :], trial * wdet[..., None]))
 
-    return _to_csr(rows, cols, data, space.n_dofs_total)
+    return _to_csr(space, local)
 
 
-def assemble_load(space: FeSpace, g) -> np.ndarray:
-    """Assemble F[i] = integral of g phi_i."""
+def assemble_load(space: FeSpace, f) -> np.ndarray:
+    """Assemble F[i] = integral of f phi_i."""
     quad = default_assembly_quadrature(space.degree)
     vals, _ = tabulate_basis(space.element, quad.points)
-    v0, jac, det, _ = element_geometry(space.mesh)
 
     load = np.zeros(space.n_dofs_total)
-    for block in _blocks(space.mesh.n_triangles):
-        pts = _physical_points(v0[block], jac[block], quad.points)
-        wdet = det[block][:, None] * quad.weights[None, :]
-        gvals = _field(g(pts[..., 0], pts[..., 1]), wdet.shape, "load integrand")
-        local = (gvals * wdet) @ vals                      # (e, n_local)
+    for block, pts, wdet, _ in element_blocks(space, quad):
+        fvals = checked_field(f(pts[..., 0], pts[..., 1]), wdet.shape, "f")
+        local = (fvals * wdet) @ vals                      # (e, n_local)
         load += np.bincount(
             space.cell_to_dofs[block].ravel(),
             weights=local.ravel(),

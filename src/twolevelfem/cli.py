@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .algorithms import IterationOperators, galerkin_solve, run_correction_iteration
 from .analysis import ExperimentRow, h1_distance, h1_error, time_run
-from .assembly import ProblemSpec
+from .assembly import CoefficientError, ProblemSpec
 from .element import MAX_DEGREE
 from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run_experiment(config)
-    except UsageError as exc:
+    except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
     if config.output_format == "markdown":
         text = rows_to_markdown(rows)

@@ -119,7 +119,10 @@ def load_problem_file(path) -> ProblemSpec:
         raise ValueError(f"problem file not found: {path}")
     module_spec = importlib.util.spec_from_file_location(f"_problem_{path.stem}", path)
     module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
+    try:
+        module_spec.loader.exec_module(module)
+    except Exception as exc:
+        raise ValueError(f"{path}: could not load: {exc}") from exc
     problem = getattr(module, "PROBLEM", None)
     if not isinstance(problem, ProblemSpec):
         raise ValueError(f"{path} must define PROBLEM as a ProblemSpec instance")

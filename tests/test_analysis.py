@@ -1,5 +1,6 @@
 """Error norms, convergence-order estimation, timing helpers."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 from twolevelfem import (
     ExperimentRow,
+    ProblemSpec,
+    assemble_nonsym,
+    assemble_stiffness,
     build_space,
     build_structured_mesh,
     estimate_orders,
@@ -16,6 +20,7 @@ from twolevelfem import (
     interpolate,
     time_run,
 )
+from twolevelfem.assembly import element_geometry
 from twolevelfem.problems import example_1, example_2
 
 # H1 norm of sin(pi x) sin(pi y): integral of u^2 is 1/4, of |grad u|^2 is
@@ -26,6 +31,15 @@ EX1_H1_NORM = float(np.sqrt(0.25 + np.pi**2 / 2))  # 2.277016073844161
 # 1/105 and of g'^2 is 2/15, so the squared norm is (1/105)^2 + 2*(2/15)(1/105)
 # = 29/105^2; the norm is sqrt(29)/105.
 EX2_H1_NORM = float(np.sqrt(29.0) / 105.0)  # 0.051287283877471466
+
+# Unit coefficients: the stiffness plus the lower-order (here: mass) matrix
+# is the H1 energy matrix.
+UNIT = ProblemSpec(
+    alpha=lambda x, y: np.ones_like(x),
+    beta=lambda x, y: np.zeros(np.shape(x) + (2,)),
+    gamma=lambda x, y: np.ones_like(x),
+    f=lambda x, y: np.zeros_like(x),
+)
 
 
 def rows_from(errors, M_values):
@@ -100,6 +114,35 @@ def test_h1_distance_properties():
     )
     with pytest.raises(ValueError):
         h1_norm_discrete(space, np.zeros(3))
+
+
+@pytest.mark.parametrize("diagonal", ["down", "up"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_discrete_norm_matches_assembled_energy(degree, diagonal):
+    """The quadrature norm equals sqrt(c^T (K + Mass) c) with the stiffness
+    and mass matrices of unit coefficients."""
+    space = build_space(build_structured_mesh(3, diagonal=diagonal), degree)
+    c = np.random.default_rng(degree).standard_normal(space.n_dofs_total)
+    energy = assemble_stiffness(space, UNIT) + assemble_nonsym(space, UNIT)
+    assert h1_norm_discrete(space, c) == pytest.approx(np.sqrt(c @ energy @ c), rel=1e-12)
+
+
+def test_norms_on_a_mesh_where_every_jacobian_differs():
+    """Interior vertices jittered by up to 0.2/M give every triangle its own
+    Jacobian.  P1 reproduces u = x + 2y exactly on any mesh of the square:
+    the integral of |grad u|^2 is 5 and that of u^2 is 8/3."""
+    M = 6
+    mesh = build_structured_mesh(M)
+    jitter = np.random.default_rng(5).uniform(-0.2 / M, 0.2 / M, mesh.vertices.shape)
+    vertices = mesh.vertices + jitter * ~mesh.boundary_vertex_flags[:, None]
+    mesh = dataclasses.replace(mesh, vertices=vertices)
+    jacobians = element_geometry(mesh)[1].reshape(-1, 4)
+    assert len(np.unique(jacobians, axis=0)) == mesh.n_triangles
+
+    space = build_space(mesh, 1)
+    c = vertices[:, 0] + 2.0 * vertices[:, 1]        # P1 DOFs are the vertices
+    assert c @ assemble_stiffness(space, UNIT) @ c == pytest.approx(5.0, rel=1e-12)
+    assert h1_norm_discrete(space, c) ** 2 == pytest.approx(5.0 + 8.0 / 3.0, rel=1e-12)
 
 
 def test_estimate_orders_exact_powers():

@@ -133,6 +133,53 @@ def test_bad_usage_exits_with_2(argv, capsys):
     assert excinfo.value.code == 2
 
 
+BAD_PROBLEM = """
+import numpy as np
+from twolevelfem.assembly import ProblemSpec
+
+def u(x, y):
+    return x * (1 - x) * y * (1 - y)
+
+def grad_u(x, y):
+    return np.stack([(1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y)], axis=-1)
+
+PROBLEM = ProblemSpec(
+    alpha=lambda x, y: np.ones_like(x),
+    beta=lambda x, y: np.zeros(np.shape(x) + (2,)),
+    gamma=lambda x, y: np.zeros_like(x),
+    f=lambda x, y: np.ones_like(x),
+    exact_u=u,
+    exact_grad_u=grad_u,
+)
+"""
+
+
+@pytest.mark.parametrize(
+    "source, extra, message",
+    [
+        ("PROBLEM = (\n", [], "could not load"),
+        (BAD_PROBLEM.replace("np.zeros(np.shape(x) + (2,))", "np.zeros_like(x)"), [],
+         "beta returned shape"),
+        (BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
+                             "f=lambda x, y: np.full_like(x, np.nan)"), [],
+         "f returned non-finite values"),
+        (BAD_PROBLEM.replace("axis=-1)", "axis=0)"), ["--error-against", "exact"],
+         "exact_grad_u returned shape"),
+    ],
+    ids=["syntax-error", "beta-shape", "f-nan", "exact-grad-shape"],
+)
+def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message):
+    path = tmp_path / "bad.py"
+    path.write_text(source)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--example", str(path), "--algorithm", "galerkin", "--l", "1",
+                  "--M", "2", *extra])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_parallel_rows_match_sequential(capsys, monkeypatch):
     monkeypatch.setenv(cli.THREAD_ENV_VAR, "2")
     argv = ["--example", "1", "--algorithm", "two-level", "--l", "1", "--s", "2",
