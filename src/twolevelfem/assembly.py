@@ -22,7 +22,9 @@ import scipy.sparse as sp
 
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .mesh import Mesh, MeshGeometryError
-from .space import FeSpace
+# The coefficient check lives in space, whose interpolation checks exact_u;
+# CoefficientError is imported only so twolevelfem.assembly still exports it.
+from .space import CoefficientError, FeSpace, checked_field
 
 # Elements per vectorized assembly block; bounds the size of the per-block
 # gradient tables regardless of mesh size.
@@ -69,25 +71,6 @@ def element_geometry(mesh: Mesh):
     inv[:, 1, 0] = -jac[:, 1, 0] / det
     inv[:, 1, 1] = jac[:, 0, 0] / det
     return v[:, 0], jac, det, inv
-
-
-class CoefficientError(ValueError):
-    """A coefficient or exact-solution callable returned values of the wrong
-    shape or non-finite values."""
-
-
-def checked_field(raw, shape, what: str) -> np.ndarray:
-    """The values a callable returned, broadcast to `shape` and finite."""
-    field = np.asarray(raw, dtype=float)
-    try:
-        field = np.broadcast_to(field, shape)
-    except ValueError:
-        raise CoefficientError(
-            f"{what} returned shape {field.shape}, expected {shape}"
-        ) from None
-    if not np.isfinite(field).all():
-        raise CoefficientError(f"{what} returned non-finite values")
-    return field
 
 
 def element_blocks(space: FeSpace, quad: QuadratureRule):

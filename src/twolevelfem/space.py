@@ -24,6 +24,25 @@ from .mesh import Mesh
 _DROP_TOL = 1e-13
 
 
+class CoefficientError(ValueError):
+    """A coefficient or exact-solution callable returned values of the wrong
+    shape or non-finite values."""
+
+
+def checked_field(raw, shape, what: str) -> np.ndarray:
+    """The values a callable returned, broadcast to `shape` and finite."""
+    field = np.asarray(raw, dtype=float)
+    try:
+        field = np.broadcast_to(field, shape)
+    except ValueError:
+        raise CoefficientError(
+            f"{what} returned shape {field.shape}, expected {shape}"
+        ) from None
+    if not np.isfinite(field).all():
+        raise CoefficientError(f"{what} returned non-finite values")
+    return field
+
+
 @dataclass(frozen=True, eq=False)
 class FeSpace:
     """A degree-`degree` Lagrange space on a structured mesh."""
@@ -111,11 +130,14 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
 
 
 def interpolate(space: FeSpace, g) -> np.ndarray:
-    """Nodal interpolant of the callable g(x, y) as a coefficient vector."""
+    """Nodal interpolant of the callable g(x, y) as a coefficient vector.
+
+    g is an exact solution in every run, so a wrong shape or a non-finite
+    value raises CoefficientError naming exact_u.
+    """
     x = space.dof_coordinates[:, 0]
     y = space.dof_coordinates[:, 1]
-    values = np.asarray(g(x, y), dtype=float)
-    return np.broadcast_to(values, (space.n_dofs_total,)).copy()
+    return checked_field(g(x, y), (space.n_dofs_total,), "exact_u").copy()
 
 
 def locate_points(mesh: Mesh, points: np.ndarray):

@@ -165,8 +165,15 @@ PROBLEM = ProblemSpec(
          "f returned non-finite values"),
         (BAD_PROBLEM.replace("axis=-1)", "axis=0)"), ["--error-against", "exact"],
          "exact_grad_u returned shape"),
+        (BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
+                             "return np.full_like(x, np.nan)"), [],
+         "exact_u returned non-finite values"),
+        (BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
+                             "return np.stack([x, y])"), [],
+         "exact_u returned shape"),
     ],
-    ids=["syntax-error", "beta-shape", "f-nan", "exact-grad-shape"],
+    ids=["syntax-error", "beta-shape", "f-nan", "exact-grad-shape", "exact-u-nan",
+         "exact-u-shape"],
 )
 def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message):
     path = tmp_path / "bad.py"
