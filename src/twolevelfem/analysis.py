@@ -50,9 +50,8 @@ def _h1_squared(space: FeSpace, coefficients: np.ndarray, quad: QuadratureRule,
         uh = local @ vals.T                                       # (e, q)
         guh = np.tensordot(local, ref_grads, axes=(1, 1)) @ inv   # (e, q, 2)
         if exact_u is not None:
-            x, y = pts[..., 0], pts[..., 1]
-            uh = uh - checked_field(exact_u(x, y), uh.shape, "exact_u")
-            guh = guh - checked_field(exact_grad_u(x, y), guh.shape, "exact_grad_u")
+            uh = uh - checked_field(exact_u, pts, uh.shape, "exact_u")
+            guh = guh - checked_field(exact_grad_u, pts, guh.shape, "exact_grad_u")
         total += float(np.sum(wdet * (uh**2 + np.sum(guh**2, axis=-1))))
     return total
 

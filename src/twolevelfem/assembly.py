@@ -119,12 +119,10 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
         grads = _physical_gradients(ref_grads, inv)               # (e, q, i, 2)
         ne = grads.shape[0]
 
-        raw = np.asarray(spec.alpha(pts[..., 0], pts[..., 1]), dtype=float)
-        if raw.shape[-2:] == (2, 2):
-            amat = checked_field(raw, (ne, nq, 2, 2), "alpha")
-            weighted = np.einsum("eqab,eqjb->eqja", amat, grads) * wdet[..., None, None]
+        avals = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
+        if avals.ndim == 4:
+            weighted = np.einsum("eqab,eqjb->eqja", avals, grads) * wdet[..., None, None]
         else:
-            avals = checked_field(raw, wdet.shape, "alpha")
             weighted = grads * (avals * wdet)[..., None, None]
 
         left = grads.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
@@ -142,9 +140,8 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     local = []
     for _, pts, wdet, inv in element_blocks(space, quad):
         grads = _physical_gradients(ref_grads, inv)
-        x, y = pts[..., 0], pts[..., 1]
-        bvals = checked_field(spec.beta(x, y), wdet.shape + (2,), "beta")
-        gvals = checked_field(spec.gamma(x, y), wdet.shape, "gamma")
+        bvals = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
+        gvals = checked_field(spec.gamma, pts, wdet.shape, "gamma")
 
         trial = np.einsum("eqa,eqja->eqj", bvals, grads)
         trial += gvals[..., None] * vals[None, :, :]
@@ -160,7 +157,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
 
     load = np.zeros(space.n_dofs_total)
     for block, pts, wdet, _ in element_blocks(space, quad):
-        fvals = checked_field(f(pts[..., 0], pts[..., 1]), wdet.shape, "f")
+        fvals = checked_field(f, pts, wdet.shape, "f")
         local = (fvals * wdet) @ vals                      # (e, n_local)
         load += np.bincount(
             space.cell_to_dofs[block].ravel(),

@@ -146,7 +146,6 @@ def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
             ops = IterationOperators(problem, coarse, fine_space, solver=config.solver)
             return run_correction_iteration(ops, k).current
 
-    coarse_dofs, fine_dofs = coarse.n_dofs_total, fine_space.n_dofs_total
     try:
         if timed:
             coefficients, seconds = time_run(procedure)
@@ -154,24 +153,19 @@ def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
             coefficients, seconds = procedure(), None
     except SolverError as exc:
         print(f"warning: M={M} failed: {exc}", file=sys.stderr)
-        return ExperimentRow(
-            M=M, H=1.0 / M, l=config.l, s_or_r=s_or_r, k=k,
-            dofs_coarse=coarse_dofs, dofs_fine=fine_dofs,
-            h1_error=float("nan"), scaled_error=float("nan"),
-            cpu_seconds=None, failed=True,
-        )
-
-    if config.error_against == "interpolant":
-        reference = interpolate(fine_space, problem.exact_u)
-        error = h1_distance(fine_space, coefficients, reference)
+        error, seconds, failed = float("nan"), None, True
     else:
-        error = h1_error(fine_space, coefficients, problem.exact_u, problem.exact_grad_u)
-    p = config.resolved_scale_exponent()
+        if config.error_against == "interpolant":
+            reference = interpolate(fine_space, problem.exact_u)
+            error = h1_distance(fine_space, coefficients, reference)
+        else:
+            error = h1_error(fine_space, coefficients, problem.exact_u, problem.exact_grad_u)
+        failed = False
     return ExperimentRow(
         M=M, H=1.0 / M, l=config.l, s_or_r=s_or_r, k=k,
-        dofs_coarse=coarse_dofs, dofs_fine=fine_dofs,
-        h1_error=error, scaled_error=error * M**p,
-        cpu_seconds=seconds, failed=False,
+        dofs_coarse=coarse.n_dofs_total, dofs_fine=fine_space.n_dofs_total,
+        h1_error=error, scaled_error=error * M**config.resolved_scale_exponent(),
+        cpu_seconds=seconds, failed=failed,
     )
 
 
@@ -234,23 +228,17 @@ def _row_cells(row: ExperimentRow) -> list[str]:
     ]
 
 
-def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_row_cells(r)) for r in rows)
+def render_table(header: list[str], body: list[list[str]], output_format: str) -> str:
+    """The table as CSV, or as markdown when output_format is "markdown"."""
+    if output_format == "markdown":
+        lines = [
+            "| " + " | ".join(header) + " |",
+            "| " + " | ".join("---" for _ in header) + " |",
+        ]
+        lines.extend("| " + " | ".join(cells) + " |" for cells in body)
+    else:
+        lines = [",".join(cells) for cells in [header, *body]]
     return "\n".join(lines) + "\n"
-
-
-def _markdown_table(header: list[str], body: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(cells) + " |" for cells in body)
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_markdown(rows: list[ExperimentRow]) -> str:
-    return _markdown_table(CSV_COLUMNS, [_row_cells(r) for r in rows])
 
 
 def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
@@ -281,6 +269,17 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
             ]
         )
     return header, body
+
+
+def _check_output_path(path: Optional[str]) -> None:
+    """Refuse an --output that cannot be written before any row runs."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--output {path!r}: no directory {parent!r}")
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
@@ -361,16 +360,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_path(args.output)
         if args.dof_table:
             header, body = dof_table(
                 _parse_int_list(args.M, "--M"), _parse_int_list(args.degrees, "--degrees")
             )
             cells = [[str(c) for c in row] for row in body]
-            if args.output_format == "markdown":
-                text = _markdown_table(header, cells)
-            else:
-                text = "\n".join([",".join(header)] + [",".join(r) for r in cells]) + "\n"
-            _emit(text, args.output)
+            _emit(render_table(header, cells, args.output_format), args.output)
             return 0
 
         if args.example is None:
@@ -398,10 +394,7 @@ def main(argv=None) -> int:
         rows = run_experiment(config)
     except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
-    if config.output_format == "markdown":
-        text = rows_to_markdown(rows)
-    else:
-        text = rows_to_csv(rows)
+    text = render_table(CSV_COLUMNS, [_row_cells(r) for r in rows], config.output_format)
     _emit(text, config.output_path)
     return 1 if any(r.failed for r in rows) else 0
 

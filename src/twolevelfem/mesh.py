@@ -3,9 +3,13 @@
 The unit square (0,1)^2 is cut into an M-by-M grid of cells of side 1/M and
 every cell is split into two triangles along a diagonal.  The default
 orientation is the slope -1 diagonal ("down"); the slope +1 alternative
-("up") is available through the `diagonal` argument.  Meshes built here are
-plain immutable containers; a refined mesh never mutates the mesh it came
-from, so meshes can be shared freely across threads.
+("up") is available through the `diagonal` argument.  This module is the one
+owner of that split: the triangles and their vertex order, the lexicographic
+numbering of lattice points that vertices and DOFs share (`lattice`), and
+point location (`locate_points`).  Finite element spaces derive their DOF
+maps from `Mesh.triangles`.  Meshes built here are plain immutable
+containers; a refined mesh never mutates the mesh it came from, so meshes can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -80,6 +84,16 @@ class Mesh:
         return self.edges.shape[0]
 
 
+def lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n+1)^2 points of spacing 1/n on the unit square, numbered
+    lexicographically by (y, x), and the mask of those on the boundary."""
+    side = np.arange(n + 1, dtype=float) / n
+    xg, yg = np.meshgrid(side, side)  # row index is y
+    on_edge = np.zeros((n + 1, n + 1), dtype=bool)
+    on_edge[[0, -1], :] = on_edge[:, [0, -1]] = True
+    return np.column_stack([xg.ravel(), yg.ravel()]), on_edge.ravel()
+
+
 def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
     """Build the structured triangulation with M subdivisions per axis.
 
@@ -96,9 +110,7 @@ def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
         raise ValueError(f"diagonal must be 'down' or 'up', got {diagonal!r}")
     M = int(M)
 
-    side = np.arange(M + 1, dtype=float) / M
-    xg, yg = np.meshgrid(side, side)  # row index is y
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
+    vertices, boundary_vertex_flags = lattice(M)
 
     idx = np.arange((M + 1) * (M + 1), dtype=np.int64).reshape(M + 1, M + 1)
     ll = idx[:-1, :-1].ravel()
@@ -113,10 +125,6 @@ def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
     else:
         triangles[0::2] = np.column_stack([ll, lr, ur])  # lower-right triangle
         triangles[1::2] = np.column_stack([ll, ur, ul])  # upper-left triangle
-
-    on_edge = np.zeros((M + 1, M + 1), dtype=bool)
-    on_edge[0, :] = on_edge[-1, :] = on_edge[:, 0] = on_edge[:, -1] = True
-    boundary_vertex_flags = on_edge.ravel()
 
     return Mesh(
         M=M,
@@ -136,3 +144,31 @@ def refine_nested(coarse: Mesh, r: int) -> Mesh:
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"refinement factor must be a positive integer, got {r!r}")
     return build_structured_mesh(coarse.M * int(r), diagonal=coarse.diagonal)
+
+
+def locate_points(mesh: Mesh, points: np.ndarray):
+    """Find the mesh triangle containing each point, with reference coords.
+
+    The reference coordinates (xi, eta) are those of the triangle's vertex
+    order as built by build_structured_mesh.  Points on shared edges are
+    assigned to one of the adjacent triangles; continuity of the spaces
+    makes the choice irrelevant for evaluation.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    M = mesh.M
+    u = pts[:, 0] * M
+    v = pts[:, 1] * M
+    ci = np.clip(np.floor(u).astype(np.int64), 0, M - 1)
+    cj = np.clip(np.floor(v).astype(np.int64), 0, M - 1)
+    fx = u - ci
+    fy = v - cj
+    if mesh.diagonal == "down":
+        in_first = fx + fy <= 1.0 + 1e-12
+        xi = np.where(in_first, fx, fx + fy - 1.0)
+        eta = np.where(in_first, fy, 1.0 - fx)
+    else:
+        in_first = fy <= fx + 1e-12
+        xi = np.where(in_first, fx - fy, fx)
+        eta = np.where(in_first, fy, fy - fx)
+    cell_index = 2 * (cj * M + ci) + (~in_first)
+    return cell_index, np.column_stack([xi, eta])

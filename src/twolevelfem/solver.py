@@ -53,6 +53,16 @@ def _relative_residual(A, x, b, norm_b) -> float:
     return float(np.linalg.norm(A @ x - b) / norm_b)
 
 
+def _scaled(b: np.ndarray) -> tuple[np.ndarray, float]:
+    """b times a power of two s, and s: 1 unless the squares of b's entries
+    would underflow (or overflow) its 2-norm, else the s that brings max|b|
+    into [0.5, 1).  Scaling by a power of two is exact, so x / s solves the
+    original system and ordinary solves stay bitwise unchanged."""
+    exponent = np.frexp(np.max(np.abs(b)))[1]
+    scale = 1.0 if abs(exponent) < 500 else float(np.ldexp(1.0, -exponent))
+    return b * scale, scale
+
+
 class DirectFactor:
     """Reusable sparse LU factorization with residual polishing."""
 
@@ -67,12 +77,12 @@ class DirectFactor:
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         t0 = time.perf_counter()
-        norm_b = np.linalg.norm(b)
-        if norm_b == 0.0:
-            x = np.zeros_like(b)
+        if not b.any():
             report = SolveReport("direct", 0, 0.0, self.factor_time_s,
                                  time.perf_counter() - t0)
-            return x, report
+            return np.zeros_like(b), report
+        b, scale = _scaled(b)
+        norm_b = np.linalg.norm(b)
         x = self._lu.solve(b)
         resid = _relative_residual(self.A, x, b, norm_b)
         refinements = 0
@@ -96,7 +106,7 @@ class DirectFactor:
                 f"direct solve stalled at relative residual {resid:.3e} "
                 f"(target {target:.1e}: tolerance {TOL:.1e} or the certified "
                 "floor, whichever is larger)", report)
-        return x, report
+        return x / scale, report
 
     def _residual_floor(self, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
         """Smallest relative residual float64 evaluation can certify.
@@ -114,9 +124,10 @@ class DirectFactor:
 
 def _krylov_solve(A, b) -> tuple[np.ndarray, SolveReport]:
     """Restarted GMRES from the zero guess, at most 10 iterations per unknown."""
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    if not b.any():
         return np.zeros_like(b), SolveReport("gmres", 0, 0.0, 0.0, 0.0)
+    b, scale = _scaled(b)
+    norm_b = np.linalg.norm(b)
     count = {"n": 0}
 
     def tick(_):
@@ -133,7 +144,7 @@ def _krylov_solve(A, b) -> tuple[np.ndarray, SolveReport]:
         raise SolverError(
             f"gmres did not converge within {maxiter} iterations "
             f"(relative residual {resid:.3e}, tolerance {TOL:.1e})", report)
-    return x, report
+    return x / scale, report
 
 
 def make_factor(A: sp.spmatrix, solver: str = "direct"

@@ -2,9 +2,10 @@
 
 Degrees of freedom of the degree-l space on an M-subdivision mesh live on the
 global lattice of spacing 1/(l*M), numbered lexicographically by (y, x) just
-like mesh vertices.  That makes the DOF map pure index arithmetic and makes
-spaces on the same mesh (or on nested meshes) share lattice points exactly,
-which the prolongation operators rely on.
+like mesh vertices (`mesh.lattice`).  The DOF map follows `mesh.triangles`
+by integer arithmetic on vertex numbers, so it holds for any vertex order the
+mesh chooses, and spaces on the same mesh (or on nested meshes) share
+lattice points exactly, which the prolongation operators rely on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import MAX_DEGREE, ReferenceElement, build_reference_element, tabulate_basis
-from .mesh import Mesh
+from .mesh import Mesh, lattice, locate_points
 
 # Basis values this small at a lattice point are roundoff from the nodal
 # construction, not genuine couplings; dropping them keeps prolongation
@@ -25,13 +26,23 @@ _DROP_TOL = 1e-13
 
 
 class CoefficientError(ValueError):
-    """A coefficient or exact-solution callable returned values of the wrong
-    shape or non-finite values."""
+    """A coefficient or exact-solution callable raised, or returned values of
+    the wrong shape or non-finite values."""
 
 
-def checked_field(raw, shape, what: str) -> np.ndarray:
-    """The values a callable returned, broadcast to `shape` and finite."""
-    field = np.asarray(raw, dtype=float)
+def checked_field(fn, pts: np.ndarray, shape, what: str, matrix: bool = False) -> np.ndarray:
+    """fn(x, y) at the points pts (..., 2), broadcast to `shape` and finite.
+
+    With `matrix`, values whose last two axes are (2, 2) are broadcast to
+    shape + (2, 2) instead.  Any exception fn raises, a wrong shape and a
+    non-finite value all raise CoefficientError naming `what`.
+    """
+    try:
+        field = np.asarray(fn(pts[..., 0], pts[..., 1]), dtype=float)
+    except Exception as exc:
+        raise CoefficientError(f"{what} raised {type(exc).__name__}: {exc}") from None
+    if matrix and field.shape[-2:] == (2, 2):
+        shape = shape + (2, 2)
     try:
         field = np.broadcast_to(field, shape)
     except ValueError:
@@ -74,57 +85,24 @@ def dof_count(M: int, degree: int) -> int:
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
     """Build the degree-`degree` Lagrange space on `mesh`."""
     element = build_reference_element(degree)
-    M = mesh.M
-    n = degree * M  # lattice subdivisions per axis
-    n_dofs = (n + 1) ** 2
+    n = degree * mesh.M  # lattice subdivisions per axis
+    dof_coordinates, on_boundary = lattice(n)
 
-    axis = np.arange(n + 1, dtype=float) / n
-    xg, yg = np.meshgrid(axis, axis)
-    dof_coordinates = np.column_stack([xg.ravel(), yg.ravel()])
-
-    on_edge = np.zeros((n + 1, n + 1), dtype=bool)
-    on_edge[0, :] = on_edge[-1, :] = on_edge[:, 0] = on_edge[:, -1] = True
-    boundary_dofs = np.flatnonzero(on_edge.ravel())
-
-    # Local nodes of the reference element in lattice steps.  Each triangle
-    # maps node (p, q) to first_vertex + p*edge1 + q*edge2 in lattice units,
-    # and both edges of every triangle are lattice vectors, so the image is
-    # pure integer arithmetic.  For the "down" split of cell (ci, cj): the
-    # lower-left triangle gives (ci*degree + p, cj*degree + q) and the
-    # upper-right one ((ci+1)*degree - q, cj*degree + p + q).  For the "up"
-    # split: lower-right (ci*degree + p + q, cj*degree + q), upper-left
-    # (ci*degree + p, cj*degree + p + q).
-    offs = np.rint(element.nodes * degree).astype(np.int64)  # (n_local, 2)
-    p, q = offs[:, 0], offs[:, 1]
-
-    cells = np.arange(M * M, dtype=np.int64)
-    ci = cells % M
-    cj = cells // M
-    bx = ci * degree
-    by = cj * degree
-
-    if mesh.diagonal == "down":
-        first_x = bx[:, None] + p[None, :]
-        first_y = by[:, None] + q[None, :]
-        second_x = bx[:, None] + degree - q[None, :]
-        second_y = by[:, None] + (p + q)[None, :]
-    else:
-        first_x = bx[:, None] + (p + q)[None, :]
-        first_y = by[:, None] + q[None, :]
-        second_x = bx[:, None] + p[None, :]
-        second_y = by[:, None] + (p + q)[None, :]
-
-    cell_to_dofs = np.empty((2 * M * M, len(p)), dtype=np.int64)
-    cell_to_dofs[0::2] = first_y * (n + 1) + first_x
-    cell_to_dofs[1::2] = second_y * (n + 1) + second_x
+    # Vertex j*(M+1)+i is DOF degree*w with w = j*(n+1)+i.  DOF numbers are
+    # affine in the lattice coordinates, so the local node (p, q) of the
+    # triangle (a, b, c), at barycentric weights (degree-p-q, p, q)/degree,
+    # is the DOF (degree-p-q)*w_a + p*w_b + q*w_c, exact in integers.
+    j, i = np.divmod(mesh.triangles, mesh.M + 1)
+    p, q = np.rint(element.nodes * degree).astype(np.int64).T
+    cell_to_dofs = (j * (n + 1) + i) @ np.stack([degree - p - q, p, q])
 
     return FeSpace(
         mesh=mesh,
         degree=degree,
-        n_dofs_total=n_dofs,
+        n_dofs_total=(n + 1) ** 2,
         dof_coordinates=dof_coordinates,
         cell_to_dofs=cell_to_dofs,
-        boundary_dofs=boundary_dofs,
+        boundary_dofs=np.flatnonzero(on_boundary),
         element=element,
     )
 
@@ -132,38 +110,10 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
 def interpolate(space: FeSpace, g) -> np.ndarray:
     """Nodal interpolant of the callable g(x, y) as a coefficient vector.
 
-    g is an exact solution in every run, so a wrong shape or a non-finite
-    value raises CoefficientError naming exact_u.
+    g is an exact solution in every run, so an exception, a wrong shape or
+    a non-finite value raises CoefficientError naming exact_u.
     """
-    x = space.dof_coordinates[:, 0]
-    y = space.dof_coordinates[:, 1]
-    return checked_field(g(x, y), (space.n_dofs_total,), "exact_u").copy()
-
-
-def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find the mesh triangle containing each point, with reference coords.
-
-    Points on shared edges are assigned to one of the adjacent triangles;
-    continuity of the spaces makes the choice irrelevant for evaluation.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    M = mesh.M
-    u = pts[:, 0] * M
-    v = pts[:, 1] * M
-    ci = np.clip(np.floor(u).astype(np.int64), 0, M - 1)
-    cj = np.clip(np.floor(v).astype(np.int64), 0, M - 1)
-    fx = u - ci
-    fy = v - cj
-    if mesh.diagonal == "down":
-        in_first = fx + fy <= 1.0 + 1e-12
-        xi = np.where(in_first, fx, fx + fy - 1.0)
-        eta = np.where(in_first, fy, 1.0 - fx)
-    else:
-        in_first = fy <= fx + 1e-12
-        xi = np.where(in_first, fx - fy, fx)
-        eta = np.where(in_first, fy, fy - fx)
-    cell_index = 2 * (cj * M + ci) + (~in_first)
-    return cell_index, np.column_stack([xi, eta])
+    return checked_field(g, space.dof_coordinates, (space.n_dofs_total,), "exact_u").copy()
 
 
 def evaluate(space: FeSpace, coefficients: np.ndarray, points) -> np.ndarray:

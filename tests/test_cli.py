@@ -125,12 +125,17 @@ def test_dof_table_markdown(capsys):
         ["--example", "/nonexistent.py", "--algorithm", "galerkin", "--M", "2"],
         ["--dof-table", "--M", "2", "--degrees", "7"],
         ["--dof-table", "--M", "0"],
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
+         "--output", "/nonexistent/table.csv"],                     # no such directory
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
+         "--output", "."],                                          # a directory
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 BAD_PROBLEM = """
@@ -171,9 +176,12 @@ PROBLEM = ProblemSpec(
         (BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
                              "return np.stack([x, y])"), [],
          "exact_u returned shape"),
+        (BAD_PROBLEM.replace("alpha=lambda x, y: np.ones_like(x)",
+                             "alpha=lambda x, y: 1 / 0"), [],
+         "alpha raised ZeroDivisionError"),
     ],
     ids=["syntax-error", "beta-shape", "f-nan", "exact-grad-shape", "exact-u-nan",
-         "exact-u-shape"],
+         "exact-u-shape", "alpha-raises"],
 )
 def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message):
     path = tmp_path / "bad.py"

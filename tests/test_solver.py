@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twolevelfem import (
@@ -152,7 +152,13 @@ def test_report_timings_nonnegative():
 
 
 def certified_floor(K, x, b):
-    """The relative residual float64 evaluation of K x - b can certify."""
+    """The relative residual float64 evaluation of K x - b can certify.
+
+    x and b are first scaled by the power of two that brings max|b| into
+    [0.5, 1), which changes no relative quantity and keeps the norms of tiny
+    right-hand sides from underflowing to 0/0."""
+    power = np.ldexp(1.0, -np.frexp(np.max(np.abs(b)))[1])
+    x, b = power * x, power * b
     scale = np.linalg.norm(abs(K) @ np.abs(x) + np.abs(b))
     return 8.0 * np.finfo(float).eps * scale / np.linalg.norm(b)
 
@@ -220,11 +226,37 @@ def dominant_systems(draw):
     return sp.csr_matrix(K), b
 
 
+# A right-hand side whose 2-norm underflows: its squared entries are 0.
+TINY_SYSTEM = (sp.csr_matrix([[3.0]]), np.array([2.47845108e-196]))
+
+
 @settings(derandomize=True, deadline=None)
 @given(dominant_systems())
+@example(TINY_SYSTEM)
 def test_direct_solve_matches_dense(system):
     K, b = system
     x, report = make_factor(K)(b)
     assert np.allclose(x, np.linalg.solve(K.toarray(), b))
     floor = certified_floor(K, x, b) if np.any(b) else 0.0
     assert report.relative_residual <= max(TOL, floor)
+
+
+@settings(derandomize=True, deadline=None)
+@given(dominant_systems())
+@example(TINY_SYSTEM)
+def test_krylov_solve_matches_dense(system):
+    K, b = system
+    x, report = make_factor(K, "iterative")(b)
+    assert np.allclose(x, np.linalg.solve(K.toarray(), b))
+    assert report.relative_residual <= TOL
+
+
+@pytest.mark.parametrize("b", [2.47845108e-196, 1e300])
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_right_hand_side_beyond_the_norm_range(solver, b):
+    """Squaring b underflows (or overflows) its 2-norm; the solve must still
+    return x = b / 3 to the last bits and report its true residual."""
+    K, rhs = sp.csr_matrix([[3.0]]), np.array([b])
+    x, report = make_factor(K, solver)(rhs)
+    assert x[0] == pytest.approx(b / 3.0, rel=4 * np.finfo(float).eps, abs=0.0)
+    assert report.relative_residual <= TOL

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from twolevelfem import (
+    Mesh,
     build_prolongation,
     build_space,
     build_structured_mesh,
@@ -75,6 +76,24 @@ def test_cell_dof_map_matches_geometry(degree, diagonal):
         mapped = v[0] + nodes @ np.array([v[1] - v[0], v[2] - v[0]])
         found = space.dof_coordinates[space.cell_to_dofs[c]]
         assert np.abs(found - mapped).max() <= 1e-12
+
+
+@pytest.mark.parametrize("diagonal", ["down", "up"])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_dof_map_follows_the_triangles(degree, diagonal):
+    """The DOF map is read off mesh.triangles: rotate every vertex triple by
+    one or two places (still counterclockwise) and each local node still
+    lands on the affine image of its reference node."""
+    standard = build_structured_mesh(3, diagonal=diagonal)
+    shift = 1 + np.arange(standard.n_triangles)[:, None] % 2
+    rotated = np.take_along_axis(standard.triangles, (np.arange(3) + shift) % 3, axis=1)
+    assert not (rotated == standard.triangles).all(axis=1).any()
+    mesh = Mesh(M=3, vertices=standard.vertices, triangles=rotated,
+                boundary_vertex_flags=standard.boundary_vertex_flags, diagonal=diagonal)
+    space = build_space(mesh, degree)
+    v = mesh.vertices[mesh.triangles]                                  # (t, 3, 2)
+    mapped = v[:, None, 0] + np.einsum("la,tab->tlb", space.element.nodes, v[:, 1:] - v[:, :1])
+    assert np.abs(space.dof_coordinates[space.cell_to_dofs] - mapped).max() <= 1e-12
 
 
 def test_boundary_dofs_lie_on_boundary():
