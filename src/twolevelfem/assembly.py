@@ -27,7 +27,7 @@ from .mesh import Mesh, MeshGeometryError
 from .space import CoefficientError, FeSpace, checked_field
 
 # Elements per vectorized assembly block; bounds the size of the per-block
-# gradient tables regardless of mesh size.
+# coefficient arrays regardless of mesh size.
 _BLOCK = 4096
 
 
@@ -84,87 +84,76 @@ def element_blocks(space: FeSpace, quad: QuadratureRule):
     n = space.mesh.n_triangles
     for start in range(0, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
-        pts = v0[block, None, :] + np.einsum("eab,qb->eqa", jac[block], quad.points)
+        pts = v0[block, None, :] + quad.points @ jac[block].swapaxes(1, 2)
         yield block, pts, det[block, None] * quad.weights[None, :], inv[block]
 
 
-def _physical_gradients(ref_grads, inv):
-    # grad_x phi = J^{-T} grad_ref phi, as (e, q, i, 2)
-    return (ref_grads.reshape(-1, 2) @ inv).reshape(inv.shape[0], *ref_grads.shape)
+def _integrate(space: FeSpace, table, coefficient) -> np.ndarray:
+    """The one kernel of every assembled form: for every triangle e,
+    local[e, m] = sum over q and c of C[e, q, c] T[(q, c), m].
+
+    `table(phi, dphi)` builds T from the basis values phi (q, i) and the
+    reference gradients dphi (q, a, i); `coefficient(pts, wdet, inv)` gives
+    C on one block of element_blocks, with the weights and Jacobian in it.
+    """
+    quad = default_assembly_quadrature(space.degree)
+    phi, grads = tabulate_basis(space.element, quad.points)
+    flat = table(phi, grads.transpose(0, 2, 1))
+    local = np.empty((space.mesh.n_triangles, flat.shape[1]))
+    for block, pts, wdet, inv in element_blocks(space, quad):
+        c = coefficient(pts, wdet, inv)
+        local[block] = c.reshape(len(c), -1) @ flat
+    return local
 
 
-def _to_csr(space: FeSpace, local: list) -> sp.csr_matrix:
-    """Sum the local matrices of every block, in element_blocks order."""
-    dofs = space.cell_to_dofs
-    nb = dofs.shape[1]
-    n = space.n_dofs_total
-    matrix = sp.coo_matrix(
-        (np.concatenate([m.ravel() for m in local]),
-         (np.repeat(dofs, nb, axis=1).ravel(), np.tile(dofs, (1, nb)).ravel())),
-        shape=(n, n),
-    ).tocsr()
-    matrix.sort_indices()
-    return matrix
+def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix."""
+    dofs, nb = space.cell_to_dofs, space.element.n_basis
+    rows, cols = np.repeat(dofs, nb, axis=1).ravel(), np.tile(dofs, (1, nb)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs_total,) * 2).tocsr()
 
 
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
-    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i."""
-    quad = default_assembly_quadrature(space.degree)
-    _, ref_grads = tabulate_basis(space.element, quad.points)
-    nb = space.element.n_basis
-    nq = quad.n_points
+    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i.
 
-    local = []
-    for _, pts, wdet, inv in element_blocks(space, quad):
-        grads = _physical_gradients(ref_grads, inv)               # (e, q, i, 2)
-        ne = grads.shape[0]
+    grad phi = inv^T dphi, so the integrand is the sum over a and b of
+    (inv alpha inv^T)[a, b] dphi[a, i] dphi[b, j]; a scalar alpha is alpha I.
+    """
+    def coefficient(pts, wdet, inv):
+        alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
+        if alpha.ndim == 2:
+            alpha = alpha[..., None, None] * np.eye(2)
+        # (inv alpha inv^T)[a, b] = sum over c, d of inv[a, c] inv[b, d] alpha[c, d]
+        pairs = np.einsum("eac,ebd->eabcd", inv, inv).reshape(-1, 4, 4)
+        return wdet[..., None] * (alpha.reshape(*wdet.shape, 4) @ pairs.swapaxes(1, 2))
 
-        avals = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
-        if avals.ndim == 4:
-            weighted = np.einsum("eqab,eqjb->eqja", avals, grads) * wdet[..., None, None]
-        else:
-            weighted = grads * (avals * wdet)[..., None, None]
+    def table(phi, dphi):
+        return np.einsum("qai,qbj->qabij", dphi, dphi).reshape(4 * len(phi), -1)
 
-        left = grads.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
-        right = weighted.transpose(0, 2, 1, 3).reshape(ne, nb, nq * 2)
-        local.append(left @ right.transpose(0, 2, 1))
-
-    return _to_csr(space, local)
+    return _to_csr(space, _integrate(space, table, coefficient))
 
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i."""
-    quad = default_assembly_quadrature(space.degree)
-    vals, ref_grads = tabulate_basis(space.element, quad.points)
+    def coefficient(pts, wdet, inv):
+        beta = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
+        gamma = checked_field(spec.gamma, pts, wdet.shape, "gamma")
+        # beta . grad phi_j = (inv beta) . dphi_j
+        return wdet[..., None] * np.concatenate([beta @ inv.swapaxes(1, 2), gamma[..., None]], -1)
 
-    local = []
-    for _, pts, wdet, inv in element_blocks(space, quad):
-        grads = _physical_gradients(ref_grads, inv)
-        bvals = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
-        gvals = checked_field(spec.gamma, pts, wdet.shape, "gamma")
+    def table(phi, dphi):
+        trial = np.concatenate([dphi, phi[:, None, :]], axis=1)      # (q, a|gamma, j)
+        return np.einsum("qi,qcj->qcij", phi, trial).reshape(3 * len(phi), -1)
 
-        trial = np.einsum("eqa,eqja->eqj", bvals, grads)
-        trial += gvals[..., None] * vals[None, :, :]
-        local.append(np.matmul(vals.T[None, :, :], trial * wdet[..., None]))
-
-    return _to_csr(space, local)
+    return _to_csr(space, _integrate(space, table, coefficient))
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
     """Assemble F[i] = integral of f phi_i."""
-    quad = default_assembly_quadrature(space.degree)
-    vals, _ = tabulate_basis(space.element, quad.points)
-
-    load = np.zeros(space.n_dofs_total)
-    for block, pts, wdet, _ in element_blocks(space, quad):
-        fvals = checked_field(f, pts, wdet.shape, "f")
-        local = (fvals * wdet) @ vals                      # (e, n_local)
-        load += np.bincount(
-            space.cell_to_dofs[block].ravel(),
-            weights=local.ravel(),
-            minlength=space.n_dofs_total,
-        )
-    return load
+    local = _integrate(space, lambda phi, dphi: phi,
+                       lambda pts, wdet, inv: wdet * checked_field(f, pts, wdet.shape, "f"))
+    return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
+                       minlength=space.n_dofs_total)
 
 
 def interior_block(matrix: sp.spmatrix, space: FeSpace) -> sp.csr_matrix:

@@ -10,6 +10,9 @@ Examples::
 
 Output is CSV by default (markdown behind --format), written to stdout or to
 --output.  Exit status is 0 only if every requested row completed.
+cpu_seconds is perf_counter wall time of operator assembly, prolongation,
+factorizations and solves; it leaves out mesh and space construction and
+error evaluation, and is blank under --parallel.
 """
 
 from __future__ import annotations
@@ -122,8 +125,7 @@ class RunConfig:
 
 def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
                 timed: bool = True) -> ExperimentRow:
-    """One table row.  Mesh and space construction stay outside the timer;
-    the timed procedure covers operator assembly and every linear solve."""
+    """One table row; `procedure` is what cpu_seconds times."""
     mesh = build_structured_mesh(M, diagonal=config.mesh_diagonal)
     coarse = build_space(mesh, config.l)
 

@@ -21,6 +21,8 @@ import numpy as np
 
 MAX_SUBDIVISIONS = 4096
 
+_SLACK = 1e-12  # roundoff allowed at cell diagonals and the square's boundary
+
 
 class MeshSizeError(ValueError):
     """Requested subdivision count is outside the supported range."""
@@ -152,9 +154,14 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     The reference coordinates (xi, eta) are those of the triangle's vertex
     order as built by build_structured_mesh.  Points on shared edges are
     assigned to one of the adjacent triangles; continuity of the spaces
-    makes the choice irrelevant for evaluation.
+    makes the choice irrelevant for evaluation.  A non-finite point, or one
+    outside the closed unit square by more than roundoff, raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    outside = ~np.all((pts >= -_SLACK) & (pts <= 1.0 + _SLACK), axis=1)
+    if outside.any():
+        x, y = pts[np.argmax(outside)].tolist()
+        raise ValueError(f"point ({x!r}, {y!r}) is not in the closed unit square")
     M = mesh.M
     u = pts[:, 0] * M
     v = pts[:, 1] * M
@@ -163,11 +170,11 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     fx = u - ci
     fy = v - cj
     if mesh.diagonal == "down":
-        in_first = fx + fy <= 1.0 + 1e-12
+        in_first = fx + fy <= 1.0 + _SLACK
         xi = np.where(in_first, fx, fx + fy - 1.0)
         eta = np.where(in_first, fy, 1.0 - fx)
     else:
-        in_first = fy <= fx + 1e-12
+        in_first = fy <= fx + _SLACK
         xi = np.where(in_first, fx - fy, fx)
         eta = np.where(in_first, fy, fy - fx)
     cell_index = 2 * (cj * M + ci) + (~in_first)

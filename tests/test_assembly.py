@@ -1,8 +1,12 @@
 """Operator assembly: stiffness, lower-order part, loads, boundary handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevelfem import (
     MeshGeometryError,
@@ -17,7 +21,7 @@ from twolevelfem import (
     interior_block,
     interpolate,
 )
-from twolevelfem.assembly import element_geometry
+from twolevelfem.assembly import default_assembly_quadrature, element_geometry
 from twolevelfem.element import tabulate_basis
 from twolevelfem.mesh import Mesh
 from twolevelfem.problems import example_1
@@ -131,6 +135,51 @@ def test_load_sum_for_sine_source():
     assert F.sum() == pytest.approx(3.9471526543064894, abs=1e-8)
 
 
+def direct_quadrature(space, spec):
+    """A, Npart and F of `spec` on `space` by a plain per-element double loop
+    over the local basis pairs, with physical gradients mapped one element
+    at a time.  alpha may be scalar or a 2x2 matrix field."""
+    quad = default_assembly_quadrature(space.degree)
+    vals, ref_grads = tabulate_basis(space.element, quad.points)
+    v0, jac, det, inv = element_geometry(space.mesh)
+    n = space.n_dofs_total
+    A_ref = np.zeros((n, n))
+    N_ref = np.zeros((n, n))
+    F_ref = np.zeros(n)
+    for c in range(space.mesh.n_triangles):
+        dofs = space.cell_to_dofs[c]
+        pts = v0[c] + quad.points @ jac[c].T
+        grads = ref_grads @ inv[c]  # (q, i, 2)
+        a = spec.alpha(pts[:, 0], pts[:, 1])
+        b = spec.beta(pts[:, 0], pts[:, 1])
+        g = spec.gamma(pts[:, 0], pts[:, 1])
+        f = spec.f(pts[:, 0], pts[:, 1])
+        w = quad.weights * det[c]
+        for i, gi in enumerate(dofs):
+            F_ref[gi] += w @ (f * vals[:, i])
+            for j, gj in enumerate(dofs):
+                if np.ndim(a) == 1:
+                    prod = np.einsum("q,qa,qa->q", a, grads[:, i], grads[:, j])
+                else:  # (alpha grad phi_j) . grad phi_i
+                    prod = np.einsum("qa,qab,qb->q", grads[:, i], a, grads[:, j])
+                A_ref[gi, gj] += w @ prod
+                conv = np.einsum("qa,qa->q", b, grads[:, j])
+                N_ref[gi, gj] += w @ ((conv + g * vals[:, j]) * vals[:, i])
+    return A_ref, N_ref, F_ref
+
+
+def assembly_errors(space, spec):
+    """Largest entry difference of A, Npart and F from direct_quadrature,
+    and the largest reference entry."""
+    A_ref, N_ref, F_ref = direct_quadrature(space, spec)
+    errors = [
+        np.abs(assemble_stiffness(space, spec).toarray() - A_ref).max(),
+        np.abs(assemble_nonsym(space, spec).toarray() - N_ref).max(),
+        np.abs(assemble_load(space, spec.f) - F_ref).max(),
+    ]
+    return max(errors), max(np.abs(ref).max() for ref in (A_ref, N_ref, F_ref))
+
+
 @pytest.mark.parametrize("diagonal", ["down", "up"])
 def test_assembled_operators_match_direct_quadrature(diagonal):
     """Entry-by-entry cross-check against a plain per-element double loop
@@ -143,33 +192,53 @@ def test_assembled_operators_match_direct_quadrature(diagonal):
         name="variable",
     )
     space = build_space(build_structured_mesh(2, diagonal=diagonal), 2)
-    A = assemble_stiffness(space, spec).toarray()
-    N = assemble_nonsym(space, spec).toarray()
+    error, _ = assembly_errors(space, spec)
+    assert error <= 1e-12
 
-    from twolevelfem.assembly import default_assembly_quadrature
 
-    quad = default_assembly_quadrature(2)
-    vals, ref_grads = tabulate_basis(space.element, quad.points)
-    v0, jac, det, inv = element_geometry(space.mesh)
-    n = space.n_dofs_total
-    A_ref = np.zeros((n, n))
-    N_ref = np.zeros((n, n))
-    for c in range(space.mesh.n_triangles):
-        dofs = space.cell_to_dofs[c]
-        pts = v0[c] + quad.points @ jac[c].T
-        grads = ref_grads @ inv[c]  # (q, i, 2)
-        a = spec.alpha(pts[:, 0], pts[:, 1])
-        b = spec.beta(pts[:, 0], pts[:, 1])
-        g = spec.gamma(pts[:, 0], pts[:, 1])
-        w = quad.weights * det[c]
-        for i, gi in enumerate(dofs):
-            for j, gj in enumerate(dofs):
-                prod = np.einsum("q,qa,qa->q", a, grads[:, i], grads[:, j])
-                A_ref[gi, gj] += w @ prod
-                conv = np.einsum("qa,qa->q", b, grads[:, j])
-                N_ref[gi, gj] += w @ ((conv + g * vals[:, j]) * vals[:, i])
-    assert np.abs(A - A_ref).max() <= 1e-12
-    assert np.abs(N - N_ref).max() <= 1e-12
+def polynomials(count):
+    """`count` random polynomials of total degree <= 2 in (x, y)."""
+    coefficients = st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)
+
+    def as_function(c):
+        return lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+    return st.lists(coefficients.map(as_function), min_size=count, max_size=count)
+
+
+@st.composite
+def assembly_cases(draw):
+    """A small mesh (both diagonals, optionally with jittered interior
+    vertices, so that every triangle has its own Jacobian), a degree 1-4
+    and polynomial coefficients: alpha scalar or a nonsymmetric 2x2 field."""
+    mesh = build_structured_mesh(draw(st.integers(1, 2)), draw(st.sampled_from(["down", "up"])))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        jitter = rng.uniform(-0.2 / mesh.M, 0.2 / mesh.M, mesh.vertices.shape)
+        mesh = dataclasses.replace(
+            mesh, vertices=mesh.vertices + jitter * ~mesh.boundary_vertex_flags[:, None])
+    if draw(st.booleans()):
+        alpha = draw(polynomials(1))[0]
+    else:
+        a = draw(polynomials(4))
+        alpha = lambda x, y: np.stack([np.stack([a[0](x, y), a[1](x, y)], axis=-1),
+                                       np.stack([a[2](x, y), a[3](x, y)], axis=-1)], axis=-2)
+    bx, by, gamma, f = draw(polynomials(4))
+    spec = ProblemSpec(alpha=alpha, beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
+                       gamma=gamma, f=f)
+    return build_space(mesh, draw(st.integers(1, 4))), spec
+
+
+@settings(derandomize=True, deadline=None)
+@given(assembly_cases())
+def test_assembly_matches_direct_quadrature_on_random_coefficients(case):
+    """Every assembled form against the double loop, for random polynomial
+    coefficients.  A nonsymmetric matrix alpha tells alpha from alpha^T in
+    inv alpha inv^T, which the identity alpha of
+    test_matrix_alpha_matches_scalar_alpha cannot."""
+    space, spec = case
+    error, scale = assembly_errors(space, spec)
+    assert error <= 1e-12 * max(1.0, scale)
 
 
 def test_galerkin_identity_between_degrees():

@@ -1,5 +1,7 @@
 """Global spaces: DOF counts, conformity, interpolation, prolongation."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -139,6 +141,25 @@ def test_evaluate_rejects_wrong_length():
     space = build_space(build_structured_mesh(2), 1)
     with pytest.raises(ValueError):
         evaluate(space, np.zeros(5), [(0.5, 0.5)])
+
+
+@pytest.mark.parametrize("point", [(2.0, 0.5), (-1.0, 0.5), (0.5, 1.0 + 1e-9),
+                                   (np.nan, 0.5), (0.5, np.inf)])
+def test_evaluate_rejects_points_off_the_square(point):
+    """Outside the closed unit square, or non-finite: a ValueError naming
+    the point, not an extrapolated value or a numpy warning."""
+    space = build_space(build_structured_mesh(2), 1)
+    coeffs = interpolate(space, lambda x, y: x + y)
+    named = re.escape(f"point {tuple(map(float, point))!r} is not in the closed unit square")
+    with pytest.raises(ValueError, match=named):
+        evaluate(space, coeffs, [(0.5, 0.5), point])
+
+
+def test_evaluate_accepts_roundoff_beyond_the_boundary():
+    space = build_space(build_structured_mesh(2), 1)
+    coeffs = interpolate(space, lambda x, y: x + y)
+    pts = np.array([[1.0 + 1e-14, 0.5], [-1e-14, 1.0 + 1e-14]])
+    assert np.abs(evaluate(space, coeffs, pts) - pts.sum(axis=1)).max() <= 1e-12
 
 
 def test_evaluate_on_edges_and_corners():
