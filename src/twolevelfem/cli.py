@@ -58,8 +58,6 @@ class RunConfig:
     fine_factor: Union[int, str] = "square"
     scale_exponent: Optional[int] = None
     solver: str = "direct"
-    output_format: str = "csv"
-    output_path: Optional[str] = None
     parallel: bool = False
     mesh_diagonal: str = "up"
     error_against: str = "interpolant"
@@ -75,8 +73,6 @@ class RunConfig:
             )
         if self.solver not in ("direct", "iterative"):
             raise UsageError(f"unknown solver choice {self.solver!r}")
-        if self.output_format not in ("csv", "markdown"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
         if self.mesh_diagonal not in ("down", "up"):
             raise UsageError(f"mesh diagonal must be 'down' or 'up', got {self.mesh_diagonal!r}")
         if self.error_against not in ("interpolant", "exact"):
@@ -108,6 +104,13 @@ class RunConfig:
                     f"two-grid fine meshes must have at most {MAX_SUBDIVISIONS} "
                     f"subdivisions, got {fine_M}"
                 )
+        p = self.resolved_scale_exponent()
+        try:
+            float(max(self.M_list)) ** p
+        except OverflowError:
+            raise UsageError(
+                f"scale exponent {p} overflows M**{p} for M = {max(self.M_list)}"
+            ) from None
 
     def resolved_fine_factor(self, M: int) -> int:
         """The two-grid refinement factor for coarse mesh size M."""
@@ -209,25 +212,10 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
     return [_run_single(problem, config, M) for M in config.M_list]
 
 
-def _format_float(value: Optional[float]) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
-    return f"{value:.6e}"
-
-
-def _row_cells(row: ExperimentRow) -> list[str]:
-    return [
-        str(row.M),
-        _format_float(row.H),
-        str(row.l),
-        str(row.s_or_r),
-        str(row.k),
-        str(row.dofs_coarse),
-        str(row.dofs_fine),
-        _format_float(row.h1_error),
-        _format_float(row.scaled_error),
-        _format_float(row.cpu_seconds),
-    ]
+    return f"{value:.6e}" if isinstance(value, float) else str(value)
 
 
 def render_table(header: list[str], body: list[list[str]], output_format: str) -> str:
@@ -383,8 +371,6 @@ def main(argv=None) -> int:
             fine_factor=_parse_fine_factor(args.fine_factor),
             scale_exponent=args.scale_exponent,
             solver=args.solver,
-            output_format=args.output_format,
-            output_path=args.output,
             parallel=args.parallel,
             mesh_diagonal=args.mesh_diagonal,
             error_against=args.error_against,
@@ -396,8 +382,8 @@ def main(argv=None) -> int:
         rows = run_experiment(config)
     except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
-    text = render_table(CSV_COLUMNS, [_row_cells(r) for r in rows], config.output_format)
-    _emit(text, config.output_path)
+    body = [[_cell(getattr(row, name)) for name in CSV_COLUMNS] for row in rows]
+    _emit(render_table(CSV_COLUMNS, body, args.output_format), args.output)
     return 1 if any(r.failed for r in rows) else 0
 
 

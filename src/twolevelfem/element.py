@@ -56,15 +56,21 @@ def _monomial_gradients(points: np.ndarray, powers: np.ndarray):
     return dx, dy
 
 
+def lattice_nodes(degree: int) -> np.ndarray:
+    """(n, 2) integer pairs (p, q), p + q <= degree, in local node order:
+    the degree-`degree` nodes sit at (p, q) / degree."""
+    return np.array([(p, q) for q in range(degree + 1) for p in range(degree + 1 - q)],
+                    dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def build_reference_element(degree: int) -> ReferenceElement:
     """Build (or fetch from cache) the degree-`degree` Lagrange element."""
     if not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"polynomial degree must be in [1, {MAX_DEGREE}], got {degree!r}")
 
-    lattice = [(p, q) for q in range(degree + 1) for p in range(degree + 1 - q)]
-    nodes = np.array(lattice, dtype=float) / degree
-    powers = np.array(lattice, dtype=np.int64)
+    powers = lattice_nodes(degree)
+    nodes = powers / degree
 
     vandermonde = _monomials(nodes, powers)
     cond = np.linalg.cond(vandermonde)
@@ -73,7 +79,7 @@ def build_reference_element(degree: int) -> ReferenceElement:
             f"nodal basis matrix for degree {degree} is near singular "
             f"(condition {cond:.3e})"
         )
-    n = len(lattice)
+    n = len(powers)
     inv = np.linalg.solve(vandermonde, np.eye(n))
     # One Newton step tightens the inverse to the accuracy a fully pivoted
     # factorization would give.

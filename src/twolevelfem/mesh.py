@@ -4,12 +4,12 @@ The unit square (0,1)^2 is cut into an M-by-M grid of cells of side 1/M and
 every cell is split into two triangles along a diagonal.  The default
 orientation is the slope -1 diagonal ("down"); the slope +1 alternative
 ("up") is available through the `diagonal` argument.  This module is the one
-owner of that split: the triangles and their vertex order, the lexicographic
-numbering of lattice points that vertices and DOFs share (`lattice`), and
-point location (`locate_points`).  Finite element spaces derive their DOF
-maps from `Mesh.triangles`.  Meshes built here are plain immutable
-containers; a refined mesh never mutates the mesh it came from, so meshes can
-be shared freely across threads.
+owner of that split: the triangles (only `build_structured_mesh` knows their
+vertex order), the numbering of lattice points that vertices and DOFs share
+(`lattice`), and point location (`locate_points`, which reads the vertices of
+the triangle it finds).  Spaces derive their DOF maps from `Mesh.triangles`.
+Meshes built here are plain immutable containers; a refined mesh never
+mutates the mesh it came from, so meshes can be shared across threads.
 """
 
 from __future__ import annotations
@@ -148,34 +148,36 @@ def refine_nested(coarse: Mesh, r: int) -> Mesh:
     return build_structured_mesh(coarse.M * int(r), diagonal=coarse.diagonal)
 
 
+def _reference_coordinates(mesh: Mesh, triangle: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(xi, eta) of each point in its triangle's own vertex order."""
+    a, b, c = np.moveaxis(mesh.vertices[mesh.triangles[triangle]], 1, 0)
+    return np.linalg.solve(np.stack([b - a, c - a], axis=-1), (pts - a)[..., None])[..., 0]
+
+
 def locate_points(mesh: Mesh, points: np.ndarray):
     """Find the mesh triangle containing each point, with reference coords.
 
-    The reference coordinates (xi, eta) are those of the triangle's vertex
-    order as built by build_structured_mesh.  Points on shared edges are
-    assigned to one of the adjacent triangles; continuity of the spaces
-    makes the choice irrelevant for evaluation.  A non-finite point, or one
+    `points` is an (n, 2) array of (x, y).  The reference coordinates
+    (xi, eta) are those of the triangle's own vertex order in
+    `mesh.triangles`.  Points on shared edges are assigned to one of the
+    adjacent triangles; continuity of the spaces makes the choice irrelevant
+    for evaluation.  A wrongly shaped `points`, a non-finite point, or one
     outside the closed unit square by more than roundoff, raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
     outside = ~np.all((pts >= -_SLACK) & (pts <= 1.0 + _SLACK), axis=1)
     if outside.any():
         x, y = pts[np.argmax(outside)].tolist()
         raise ValueError(f"point ({x!r}, {y!r}) is not in the closed unit square")
     M = mesh.M
-    u = pts[:, 0] * M
-    v = pts[:, 1] * M
-    ci = np.clip(np.floor(u).astype(np.int64), 0, M - 1)
-    cj = np.clip(np.floor(v).astype(np.int64), 0, M - 1)
-    fx = u - ci
-    fy = v - cj
-    if mesh.diagonal == "down":
-        in_first = fx + fy <= 1.0 + _SLACK
-        xi = np.where(in_first, fx, fx + fy - 1.0)
-        eta = np.where(in_first, fy, 1.0 - fx)
-    else:
-        in_first = fy <= fx + _SLACK
-        xi = np.where(in_first, fx - fy, fx)
-        eta = np.where(in_first, fy, fy - fx)
-    cell_index = 2 * (cj * M + ci) + (~in_first)
-    return cell_index, np.column_stack([xi, eta])
+    ci, cj = np.clip(np.floor(pts * M).astype(np.int64), 0, M - 1).T
+    # Cell c is split into triangles 2c and 2c+1: try the first, and move
+    # a point whose barycentric coordinates there are not all >= 0.
+    triangle = 2 * (cj * M + ci)
+    ref = _reference_coordinates(mesh, triangle, pts)
+    second = np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1)) < -_SLACK
+    triangle[second] += 1
+    ref[second] = _reference_coordinates(mesh, triangle[second], pts[second])
+    return triangle, ref

@@ -4,8 +4,8 @@ Degrees of freedom of the degree-l space on an M-subdivision mesh live on the
 global lattice of spacing 1/(l*M), numbered lexicographically by (y, x) just
 like mesh vertices (`mesh.lattice`).  The DOF map follows `mesh.triangles`
 by integer arithmetic on vertex numbers, so it holds for any vertex order the
-mesh chooses, and spaces on the same mesh (or on nested meshes) share
-lattice points exactly, which the prolongation operators rely on.
+mesh chooses.  Spaces on the same mesh (or on nested meshes) share lattice
+points exactly, so a prolongation is one reference table read through it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .element import MAX_DEGREE, ReferenceElement, build_reference_element, tabulate_basis
+from .element import MAX_DEGREE, ReferenceElement, build_reference_element, lattice_nodes
+from .element import tabulate_basis
 from .mesh import Mesh, lattice, locate_points
 
 # Basis values this small at a lattice point are roundoff from the nodal
@@ -82,26 +83,28 @@ def dof_count(M: int, degree: int) -> int:
     return (degree * M + 1) ** 2
 
 
+def _lattice_dofs(mesh: Mesh, degree: int) -> np.ndarray:
+    """Each triangle's `lattice_nodes(degree)` as numbers on the lattice of
+    spacing 1/n, n = degree*M, (n_triangles, n_local).  Vertex j*(M+1)+i is
+    point degree*w with w = j*(n+1)+i, and numbers are affine in coordinates,
+    so node (p, q) of triangle (a, b, c) is (degree-p-q)*w_a + p*w_b + q*w_c,
+    exact in integers for any vertex order."""
+    n = degree * mesh.M
+    j, i = np.divmod(mesh.triangles, mesh.M + 1)
+    p, q = lattice_nodes(degree).T
+    return (j * (n + 1) + i) @ np.stack([degree - p - q, p, q])
+
+
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
     """Build the degree-`degree` Lagrange space on `mesh`."""
     element = build_reference_element(degree)
-    n = degree * mesh.M  # lattice subdivisions per axis
-    dof_coordinates, on_boundary = lattice(n)
-
-    # Vertex j*(M+1)+i is DOF degree*w with w = j*(n+1)+i.  DOF numbers are
-    # affine in the lattice coordinates, so the local node (p, q) of the
-    # triangle (a, b, c), at barycentric weights (degree-p-q, p, q)/degree,
-    # is the DOF (degree-p-q)*w_a + p*w_b + q*w_c, exact in integers.
-    j, i = np.divmod(mesh.triangles, mesh.M + 1)
-    p, q = np.rint(element.nodes * degree).astype(np.int64).T
-    cell_to_dofs = (j * (n + 1) + i) @ np.stack([degree - p - q, p, q])
-
+    dof_coordinates, on_boundary = lattice(degree * mesh.M)
     return FeSpace(
         mesh=mesh,
         degree=degree,
-        n_dofs_total=(n + 1) ** 2,
+        n_dofs_total=len(dof_coordinates),
         dof_coordinates=dof_coordinates,
-        cell_to_dofs=cell_to_dofs,
+        cell_to_dofs=_lattice_dofs(mesh, degree),
         boundary_dofs=np.flatnonzero(on_boundary),
         element=element,
     )
@@ -151,37 +154,39 @@ def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
             "prolongation needs matching diagonal orientations, got "
             f"{source.mesh.diagonal!r} -> {target.mesh.diagonal!r}"
         )
-    same_mesh = target.mesh.M == source.mesh.M
-    nested = target.mesh.M % source.mesh.M == 0
-    if same_mesh:
-        if source.degree > target.degree:
-            raise ValueError(
-                "same-mesh prolongation needs source degree <= target degree, "
-                f"got {source.degree} -> {target.degree}"
-            )
-    elif nested:
-        if source.degree != target.degree:
-            raise ValueError(
-                "nested-mesh prolongation needs equal degrees, "
-                f"got {source.degree} -> {target.degree}"
-            )
-    else:
+    r, rest = divmod(target.mesh.M, source.mesh.M)
+    if rest:
         raise ValueError(
             f"target mesh (M={target.mesh.M}) is not a refinement of the "
             f"source mesh (M={source.mesh.M})"
         )
+    if r == 1 and source.degree > target.degree:
+        raise ValueError(
+            "same-mesh prolongation needs source degree <= target degree, "
+            f"got {source.degree} -> {target.degree}"
+        )
+    if r > 1 and source.degree != target.degree:
+        raise ValueError(
+            "nested-mesh prolongation needs equal degrees, "
+            f"got {source.degree} -> {target.degree}"
+        )
 
-    cell_index, ref = locate_points(source.mesh, target.dof_coordinates)
-    values, _ = tabulate_basis(source.element, ref)  # (n_target, n_local)
-    n_local = values.shape[1]
-    rows = np.repeat(np.arange(target.n_dofs_total, dtype=np.int64), n_local)
-    cols = source.cell_to_dofs[cell_index].ravel()
-    data = values.ravel()
-
-    keep = np.abs(data) > _DROP_TOL
-    matrix = sp.coo_matrix(
-        (data[keep], (rows[keep], cols[keep])),
+    # Each source triangle holds the target DOFs at the same reference
+    # points, the nodes (p, q)/D of the degree-D lattice, whatever its shape
+    # or vertex order: one table of source basis values serves them all.
+    D = target.degree * r
+    values, _ = tabulate_basis(source.element, lattice_nodes(D) / D)  # (n_nodes, n_local)
+    # A target DOF on several triangles takes the row of its first one.
+    n_nodes, n_local = values.shape
+    first = np.unique(_lattice_dofs(source.mesh, D), return_index=True)[1]
+    triangle, node = np.divmod(first, n_nodes)
+    data = values[node].ravel()
+    data[np.abs(data) <= _DROP_TOL] = 0.0
+    matrix = sp.csr_matrix(
+        (data, source.cell_to_dofs[triangle].ravel(),
+         np.arange(target.n_dofs_total + 1) * n_local),
         shape=(target.n_dofs_total, source.n_dofs_total),
-    ).tocsr()
+    )
+    matrix.eliminate_zeros()
     matrix.sort_indices()
     return Prolongation(source=source, target=target, matrix=matrix)

@@ -129,6 +129,8 @@ def test_dof_table_markdown(capsys):
          "--output", "/nonexistent/table.csv"],                     # no such directory
         ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
          "--output", "."],                                          # a directory
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "12",
+         "--scale-exponent", "1000"],                               # 12**1000 overflows
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):

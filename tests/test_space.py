@@ -19,6 +19,22 @@ from twolevelfem import (
 from twolevelfem.element import tabulate_basis
 
 
+def rotated_mesh(M, diagonal):
+    """The structured mesh with every vertex triple rotated by one or two
+    places (still counterclockwise), so no triangle starts at the vertex
+    build_structured_mesh puts first."""
+    standard = build_structured_mesh(M, diagonal=diagonal)
+    shift = 1 + np.arange(standard.n_triangles)[:, None] % 2
+    rotated = np.take_along_axis(standard.triangles, (np.arange(3) + shift) % 3, axis=1)
+    assert not (rotated == standard.triangles).all(axis=1).any()
+    return Mesh(M=M, vertices=standard.vertices, triangles=rotated,
+                boundary_vertex_flags=standard.boundary_vertex_flags, diagonal=diagonal)
+
+
+MESHES = {"standard": build_structured_mesh, "rotated": rotated_mesh}
+MESH_CASES = [(kind, diagonal) for kind in MESHES for diagonal in ("down", "up")]
+
+
 def test_dof_count_closed_form():
     for M in (1, 2, 3, 4, 5, 8, 16, 32):
         for degree in range(1, 7):
@@ -86,12 +102,7 @@ def test_dof_map_follows_the_triangles(degree, diagonal):
     """The DOF map is read off mesh.triangles: rotate every vertex triple by
     one or two places (still counterclockwise) and each local node still
     lands on the affine image of its reference node."""
-    standard = build_structured_mesh(3, diagonal=diagonal)
-    shift = 1 + np.arange(standard.n_triangles)[:, None] % 2
-    rotated = np.take_along_axis(standard.triangles, (np.arange(3) + shift) % 3, axis=1)
-    assert not (rotated == standard.triangles).all(axis=1).any()
-    mesh = Mesh(M=3, vertices=standard.vertices, triangles=rotated,
-                boundary_vertex_flags=standard.boundary_vertex_flags, diagonal=diagonal)
+    mesh = rotated_mesh(3, diagonal)
     space = build_space(mesh, degree)
     v = mesh.vertices[mesh.triangles]                                  # (t, 3, 2)
     mapped = v[:, None, 0] + np.einsum("la,tab->tlb", space.element.nodes, v[:, 1:] - v[:, :1])
@@ -129,12 +140,15 @@ def test_interpolate_linear_roundtrip(diagonal):
 
 def test_interpolate_degree_six_polynomial_roundtrip():
     """x(1-x)^2 y(1-y)^2 has total degree 6, so the degree-6 space contains
-    it and nodal interpolation reproduces it pointwise."""
+    it and nodal interpolation reproduces it pointwise, on both diagonals
+    and whatever vertex each triangle starts at."""
     g = lambda x, y: x * (1 - x) ** 2 * y * (1 - y) ** 2
-    space = build_space(build_structured_mesh(9), 6)
-    coeffs = interpolate(space, g)
     pts = np.random.default_rng(17).random((100, 2))
-    assert np.abs(evaluate(space, coeffs, pts) - g(pts[:, 0], pts[:, 1])).max() <= 1e-12
+    for kind, diagonal in MESH_CASES:
+        space = build_space(MESHES[kind](9, diagonal), 6)
+        coeffs = interpolate(space, g)
+        error = np.abs(evaluate(space, coeffs, pts) - g(pts[:, 0], pts[:, 1])).max()
+        assert error <= 1e-12, (kind, diagonal)
 
 
 def test_evaluate_rejects_wrong_length():
@@ -153,6 +167,17 @@ def test_evaluate_rejects_points_off_the_square(point):
     named = re.escape(f"point {tuple(map(float, point))!r} is not in the closed unit square")
     with pytest.raises(ValueError, match=named):
         evaluate(space, coeffs, [(0.5, 0.5), point])
+
+
+@pytest.mark.parametrize("points", [[[0.5, 0.25, 0.5]], [[0.5]], [[0.5, 0.25, 9.0]],
+                                    np.full((2, 2, 2), 0.5)])
+def test_evaluate_rejects_points_of_the_wrong_shape(points):
+    """Points come as (n, 2): a third coordinate is not dropped, and a
+    missing one is not an IndexError."""
+    space = build_space(build_structured_mesh(2), 1)
+    coeffs = interpolate(space, lambda x, y: x + y)
+    with pytest.raises(ValueError, match=re.escape("shape (n, 2)")):
+        evaluate(space, coeffs, points)
 
 
 def test_evaluate_accepts_roundoff_beyond_the_boundary():
@@ -177,21 +202,25 @@ def test_prolongation_identity():
 
 
 def test_prolongation_degree_raise_reproduces_cubic():
-    mesh = build_structured_mesh(9)
-    source = build_space(mesh, 3)
-    target = build_space(mesh, 6)
-    P = build_prolongation(source, target).matrix
     g = lambda x, y: x**3
-    assert np.abs(P @ interpolate(source, g) - interpolate(target, g)).max() <= 1e-12
+    for kind, diagonal in MESH_CASES:
+        mesh = MESHES[kind](9, diagonal)
+        source = build_space(mesh, 3)
+        target = build_space(mesh, 6)
+        P = build_prolongation(source, target).matrix
+        error = np.abs(P @ interpolate(source, g) - interpolate(target, g)).max()
+        assert error <= 1e-12, (kind, diagonal)
 
 
 def test_prolongation_mesh_refine_reproduces_polynomial():
-    coarse_mesh = build_structured_mesh(9)
-    source = build_space(coarse_mesh, 3)
-    target = build_space(refine_nested(coarse_mesh, 9), 3)
-    P = build_prolongation(source, target).matrix
     g = lambda x, y: x**2 * y
-    assert np.abs(P @ interpolate(source, g) - interpolate(target, g)).max() <= 1e-12
+    for kind, diagonal in MESH_CASES:
+        coarse_mesh = MESHES[kind](9, diagonal)
+        source = build_space(coarse_mesh, 3)
+        target = build_space(refine_nested(coarse_mesh, 9), 3)
+        P = build_prolongation(source, target).matrix
+        error = np.abs(P @ interpolate(source, g) - interpolate(target, g)).max()
+        assert error <= 1e-12, (kind, diagonal)
 
 
 def test_prolongation_preserves_constants():
@@ -205,17 +234,25 @@ def test_prolongation_preserves_constants():
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
 def test_prolongation_pointwise_equality(diagonal):
-    """A prolonged function is the same function: values agree at random
-    points."""
-    mesh = build_structured_mesh(3, diagonal=diagonal)
-    source = build_space(mesh, 2)
-    target = build_space(refine_nested(mesh, 2), 2)
-    P = build_prolongation(source, target).matrix
-    coeffs = np.random.default_rng(23).standard_normal(source.n_dofs_total)
-    pts = np.random.default_rng(29).random((100, 2))
-    before = evaluate(source, coeffs, pts)
-    after = evaluate(target, P @ coeffs, pts)
-    assert np.abs(before - after).max() <= 1e-10
+    """A prolonged function is the same function: P @ c is the source
+    function located and evaluated at the target DOFs, and values agree at
+    random points.  Degree raises and nested factors 2 and 3, on the
+    structured and the rotated-vertex mesh."""
+    for kind in MESHES:
+        for source_degree, target_degree, factor in [(2, 2, 2), (2, 2, 3), (3, 6, 1), (1, 5, 1)]:
+            mesh = MESHES[kind](3, diagonal)
+            source = build_space(mesh, source_degree)
+            target_mesh = mesh if factor == 1 else refine_nested(mesh, factor)
+            target = build_space(target_mesh, target_degree)
+            P = build_prolongation(source, target).matrix
+            coeffs = np.random.default_rng(23).standard_normal(source.n_dofs_total)
+            case = (kind, source_degree, target_degree, factor)
+            located = evaluate(source, coeffs, target.dof_coordinates)
+            assert np.abs(P @ coeffs - located).max() <= 1e-12 * np.abs(coeffs).max(), case
+            pts = np.random.default_rng(29).random((100, 2))
+            before = evaluate(source, coeffs, pts)
+            after = evaluate(target, P @ coeffs, pts)
+            assert np.abs(before - after).max() <= 1e-10, case
 
 
 def test_prolongation_row_support_bound():
