@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import checked_field, default_assembly_quadrature, element_blocks
+from .assembly import checked_field, element_blocks
 # perfbench/spans.py wraps these two at this module; nothing here calls them.
 from .assembly import assemble_nonsym, assemble_stiffness  # noqa: F401
 from .element import QuadratureRule, build_quadrature, tabulate_basis
@@ -71,16 +71,17 @@ def h1_error(space: FeSpace, coefficients: np.ndarray, exact_u: Callable,
 def h1_norm_discrete(space: FeSpace, coefficients) -> float:
     """H1 norm of a member of the space, from its coefficient vector.
 
-    The assembly quadrature integrates products of basis functions exactly,
-    so up to roundoff this is the exact H1 norm of the piecewise polynomial,
-    with no quadrature-of-the-exact-solution error.
+    The integrand has degree 2p on each triangle, and the rule used is the
+    smallest one exact for that degree, so up to roundoff this is the exact
+    H1 norm of the piecewise polynomial, with no quadrature-of-the-exact-
+    solution error.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (space.n_dofs_total,):
         raise ValueError(
             f"expected {space.n_dofs_total} coefficients, got shape {c.shape}"
         )
-    return float(np.sqrt(_h1_squared(space, c, default_assembly_quadrature(space.degree))))
+    return float(np.sqrt(_h1_squared(space, c, build_quadrature(2 * space.degree))))
 
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:

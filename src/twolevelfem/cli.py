@@ -9,10 +9,12 @@ Examples::
     twolevelfem --dof-table --M 9,10,11,12 --degrees 3,4,5,6
 
 Output is CSV by default (markdown behind --format), written to stdout or to
---output.  Exit status is 0 only if every requested row completed.
+--output.  Exit status is 0 only if every requested row completed; a usage
+error exits 2 with one line on stderr and no table.
 cpu_seconds is perf_counter wall time of operator assembly, prolongation,
 factorizations and solves; it leaves out mesh and space construction and
-error evaluation, and is blank under --parallel.
+error evaluation.  --parallel computes up to POOL_SIZE rows at once, so
+their timings would overlap, and leaves cpu_seconds blank.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ CSV_COLUMNS = [
     "dofs_coarse", "dofs_fine", "h1_error", "scaled_error", "cpu_seconds",
 ]
 
-THREAD_ENV_VAR = "TWOLEVEL_THREADS"
+POOL_SIZE = min(4, os.cpu_count() or 1)   # rows computed at once under --parallel
 
 
 class UsageError(ValueError):
@@ -91,12 +93,12 @@ class RunConfig:
                     f"fine degree must be in [{self.l + 1}, {MAX_DEGREE}], got {self.s}"
                 )
         elif self.algorithm == "two-grid":
-            if self.fine_factor != "square" and (
-                not isinstance(self.fine_factor, int) or self.fine_factor < 2
-            ):
+            # 'square' refines by r = M, which leaves M = 1 unrefined.
+            if not (self.fine_factor == "square" or isinstance(self.fine_factor, int)) \
+                    or min(map(self.resolved_fine_factor, self.M_list)) < 2:
                 raise UsageError(
-                    f"two-grid refinement factor must be >= 2 or 'square', "
-                    f"got {self.fine_factor!r}"
+                    f"two-grid refinement factor must be >= 2 or 'square' with "
+                    f"every M >= 2, got {self.fine_factor!r} for M = {list(self.M_list)}"
                 )
             fine_M = [M * self.resolved_fine_factor(M) for M in self.M_list]
             if max(fine_M) > MAX_SUBDIVISIONS:
@@ -106,11 +108,14 @@ class RunConfig:
                 )
         p = self.resolved_scale_exponent()
         try:
-            float(max(self.M_list)) ** p
+            in_range = float(max(self.M_list)) ** p >= sys.float_info.min
         except OverflowError:
+            in_range = False
+        if not in_range:
             raise UsageError(
-                f"scale exponent {p} overflows M**{p} for M = {max(self.M_list)}"
-            ) from None
+                f"scale exponent {p} takes M**{p} out of the float range "
+                f"for M = {max(self.M_list)}"
+            )
 
     def resolved_fine_factor(self, M: int) -> int:
         """The two-grid refinement factor for coarse mesh size M."""
@@ -126,8 +131,7 @@ class RunConfig:
         return self.l
 
 
-def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
-                timed: bool = True) -> ExperimentRow:
+def _run_single(problem: ProblemSpec, config: RunConfig, M: int) -> ExperimentRow:
     """One table row; `procedure` is what cpu_seconds times."""
     mesh = build_structured_mesh(M, diagonal=config.mesh_diagonal)
     coarse = build_space(mesh, config.l)
@@ -152,10 +156,7 @@ def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
             return run_correction_iteration(ops, k).current
 
     try:
-        if timed:
-            coefficients, seconds = time_run(procedure)
-        else:
-            coefficients, seconds = procedure(), None
+        coefficients, seconds = time_run(procedure)
     except SolverError as exc:
         print(f"warning: M={M} failed: {exc}", file=sys.stderr)
         error, seconds, failed = float("nan"), None, True
@@ -170,29 +171,16 @@ def _run_single(problem: ProblemSpec, config: RunConfig, M: int,
         M=M, H=1.0 / M, l=config.l, s_or_r=s_or_r, k=k,
         dofs_coarse=coarse.n_dofs_total, dofs_fine=fine_space.n_dofs_total,
         h1_error=error, scaled_error=error * M**config.resolved_scale_exponent(),
-        cpu_seconds=seconds, failed=failed,
+        cpu_seconds=None if config.parallel else seconds, failed=failed,
     )
-
-
-def _worker_count() -> int:
-    env = os.environ.get(THREAD_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from None
-        if n >= 1:
-            return n
-        raise UsageError(f"{THREAD_ENV_VAR} must be >= 1, got {n}")
-    return min(4, os.cpu_count() or 1)
 
 
 def run_experiment(config: RunConfig) -> list[ExperimentRow]:
     """Produce one ExperimentRow per mesh size in the configuration.
 
-    Sequential by default so the cpu_seconds column means something; with
-    config.parallel the rows are computed concurrently (capped by the
-    TWOLEVEL_THREADS environment variable) and cpu_seconds is left blank.
+    Every row takes the same path.  Rows run one after another by default,
+    so that cpu_seconds means something; with config.parallel up to
+    POOL_SIZE rows run at once on threads and cpu_seconds is left blank.
     """
     try:
         problem = get_problem(config.example)
@@ -203,11 +191,8 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
             "the experiment tables need exact_u and exact_grad_u on the problem"
         )
     if config.parallel:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            futures = [
-                pool.submit(_run_single, problem, config, M, False)
-                for M in config.M_list
-            ]
+        with ThreadPoolExecutor(max_workers=POOL_SIZE) as pool:
+            futures = [pool.submit(_run_single, problem, config, M) for M in config.M_list]
             return [f.result() for f in futures]
     return [_run_single(problem, config, M) for M in config.M_list]
 
@@ -218,8 +203,9 @@ def _cell(value) -> str:
     return f"{value:.6e}" if isinstance(value, float) else str(value)
 
 
-def render_table(header: list[str], body: list[list[str]], output_format: str) -> str:
+def render_table(header: list[str], body: list[list], output_format: str) -> str:
     """The table as CSV, or as markdown when output_format is "markdown"."""
+    body = [[_cell(value) for value in row] for row in body]
     if output_format == "markdown":
         lines = [
             "| " + " | ".join(header) + " |",
@@ -248,16 +234,11 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
         f"dof_Hsq_p{first}",
         *(f"dof_H_p{d}" for d in degrees[1:]),
     ]
-    body = []
-    for M in M_list:
-        body.append(
-            [
-                f"1/{M}",
-                dof_count(M, first),
-                dof_count(M * M, first),
-                *(dof_count(M, d) for d in degrees[1:]),
-            ]
-        )
+    body = [
+        [f"1/{M}", dof_count(M, first), dof_count(M * M, first),
+         *(dof_count(M, d) for d in degrees[1:])]
+        for M in M_list
+    ]
     return header, body
 
 
@@ -349,41 +330,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    rows = []
     try:
         _check_output_path(args.output)
         if args.dof_table:
             header, body = dof_table(
                 _parse_int_list(args.M, "--M"), _parse_int_list(args.degrees, "--degrees")
             )
-            cells = [[str(c) for c in row] for row in body]
-            _emit(render_table(header, cells, args.output_format), args.output)
-            return 0
-
-        if args.example is None:
+        elif args.example is None:
             raise UsageError("--example is required unless --dof-table is given")
-        config = RunConfig(
-            example=args.example,
-            algorithm=args.algorithm,
-            l=args.l,
-            s=args.s,
-            k=args.k,
-            M_list=_parse_int_list(args.M, "--M"),
-            fine_factor=_parse_fine_factor(args.fine_factor),
-            scale_exponent=args.scale_exponent,
-            solver=args.solver,
-            parallel=args.parallel,
-            mesh_diagonal=args.mesh_diagonal,
-            error_against=args.error_against,
-        )
-    except UsageError as exc:
-        parser.error(str(exc))
-
-    try:
-        rows = run_experiment(config)
+        else:
+            rows = run_experiment(RunConfig(
+                example=args.example,
+                algorithm=args.algorithm,
+                l=args.l,
+                s=args.s,
+                k=args.k,
+                M_list=_parse_int_list(args.M, "--M"),
+                fine_factor=_parse_fine_factor(args.fine_factor),
+                scale_exponent=args.scale_exponent,
+                solver=args.solver,
+                parallel=args.parallel,
+                mesh_diagonal=args.mesh_diagonal,
+                error_against=args.error_against,
+            ))
+            header = CSV_COLUMNS
+            body = [[getattr(row, name) for name in CSV_COLUMNS] for row in rows]
     except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
-    body = [[_cell(getattr(row, name)) for name in CSV_COLUMNS] for row in rows]
-    _emit(render_table(CSV_COLUMNS, body, args.output_format), args.output)
+    _emit(render_table(header, body, args.output_format), args.output)
     return 1 if any(r.failed for r in rows) else 0
 
 

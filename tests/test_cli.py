@@ -1,6 +1,13 @@
 """Command line interface: table layout, formats, exit codes, parallel mode."""
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevelfem import cli
 from twolevelfem.analysis import h1_error
@@ -131,6 +138,9 @@ def test_dof_table_markdown(capsys):
          "--output", "."],                                          # a directory
         ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "12",
          "--scale-exponent", "1000"],                               # 12**1000 overflows
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,12",
+         "--scale-exponent", "-1000"],                              # 12**-1000 underflows
+        ["--example", "1", "--algorithm", "two-grid", "--l", "1", "--M", "1,2"],  # r = M = 1
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):
@@ -138,6 +148,99 @@ def test_bad_usage_exits_with_2(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [-285, 285])
+def test_scale_exponent_at_the_float_range_edges(p, capsys):
+    code, captured = run_main(
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "12",
+         "--scale-exponent", str(p)],
+        capsys,
+    )
+    assert code == 0
+    assert 0.0 < float(captured.out.strip().split("\n")[1].split(",")[8]) < float("inf")
+
+
+HUGE = "1000000000000"
+BAD_INTS = ["0", "-1", HUGE, "x", "", "square"]
+
+
+@st.composite
+def run_argv(draw):
+    """Run flags, each drawn from its valid values, weighted four to one,
+    and its bad ones; None leaves an optional flag at its default and a
+    required one missing.  Every run the CLI can accept stays tiny: M <= 3,
+    degrees <= 3, k <= 3, two-grid fine M <= 9."""
+    argv = []
+
+    def option(flag, valid, bad):
+        value = draw(st.sampled_from(valid * 4 + bad))
+        if value is not None:
+            argv.extend([flag, value])
+        return value
+
+    algorithm = option("--algorithm", ["two-grid", "two-level", "galerkin", None], ["bogus"])
+    option("--example", ["1", "2"], [None, "3", ""])
+    option("--M", ["1", "2", "3", "3,1", "3,2,", "2,,2"],
+           [None, "", ",", "0", "-1", "2,x", HUGE, "square"])
+    option("--l", [None, "1", "2"], BAD_INTS)
+    option("--s", [None, "2", "3"], BAD_INTS)
+    # k has no upper bound; only galerkin, which ignores k, may get a huge one.
+    option("--k", [None, "1", "2", "3"],
+           ["0", "-1", "x", "", "square"] + ([HUGE] if algorithm == "galerkin" else []))
+    option("--fine-factor", [None, "2", "3", "square"], ["1", "0", "-1", HUGE, "x", ""])
+    option("--scale-exponent", [None, "2", "-3"], ["-2000", *BAD_INTS])
+    option("--solver", [None, "direct", "iterative"], ["cholesky"])
+    option("--mesh-diagonal", [None, "up", "down"], ["left"])
+    option("--error-against", [None, "interpolant", "exact"], ["nodal"])
+    option("--format", [None, "csv", "markdown"], ["xml"])
+    if draw(st.booleans()):
+        argv.append("--parallel")
+    return argv
+
+
+def table_lines(text, output_format):
+    """Header and body rows of a rendered table, as lists of cells."""
+    lines = text.strip().split("\n")
+    if output_format == "markdown":
+        cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines]
+        return cells[0], cells[2:]
+    cells = [line.split(",") for line in lines]
+    return cells[0], cells[1:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=run_argv())
+def test_parser_accepts_a_run_or_refuses_it_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().strip().split("\n")
+        assert lines[-1].startswith("twolevelfem: error: ")
+        assert sum("error:" in line for line in lines) == 1
+        assert out.getvalue() == ""
+        return
+    assert code in (0, 1)
+    options = dict(zip(argv[::2], argv[1::2]))   # flags and values alternate
+    header, body = table_lines(out.getvalue(), options.get("--format", "csv"))
+    assert header == cli.CSV_COLUMNS
+    assert [int(row[0]) for row in body] == \
+        [int(M) for M in options["--M"].split(",") if M]
+
+
+def test_readme_flags_table_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\nFlags:\n", 1)[1].strip().split("\n\n", 1)[0]
+    documented = set(re.findall(r"^\| `(--[A-Za-z-]+)` \|", table, flags=re.MULTILINE))
+    defined = {option for action in cli.build_parser()._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert documented == defined - {"--help"}
 
 
 BAD_PROBLEM = """
@@ -197,8 +300,7 @@ def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message)
     assert "Traceback" not in err
 
 
-def test_parallel_rows_match_sequential(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREAD_ENV_VAR, "2")
+def test_parallel_rows_match_sequential(capsys):
     argv = ["--example", "1", "--algorithm", "two-level", "--l", "1", "--s", "2",
             "--k", "1", "--M", "2,3"]
     _, sequential = run_main(argv, capsys)
@@ -207,14 +309,6 @@ def test_parallel_rows_match_sequential(capsys, monkeypatch):
     # Parallel rows leave the timing column blank.
     for line in parallel.out.strip().split("\n")[1:]:
         assert line.endswith(",")
-
-
-def test_bad_thread_count_exits_with_2(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREAD_ENV_VAR, "abc")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["--example", "1", "--algorithm", "galerkin", "--l", "1",
-                  "--M", "2", "--parallel"])
-    assert excinfo.value.code == 2
 
 
 def test_problem_file_run(tmp_path, capsys):
@@ -306,15 +400,16 @@ def test_solver_failure_produces_marked_row(capsys, monkeypatch):
         raise SolverError("test failure")
 
     monkeypatch.setattr(cli, "galerkin_solve", explode)
-    code, captured = run_main(
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2"],
-        capsys,
-    )
-    assert code == 1
-    assert "M=2 failed" in captured.err
-    cells = captured.out.strip().split("\n")[1].split(",")
-    assert cells[7] == "nan" and cells[8] == "nan"
-    assert cells[9] == ""
+    for extra in [[], ["--parallel"]]:
+        code, captured = run_main(
+            ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2", *extra],
+            capsys,
+        )
+        assert code == 1
+        assert "M=2 failed" in captured.err
+        cells = captured.out.strip().split("\n")[1].split(",")
+        assert cells[7] == "nan" and cells[8] == "nan"
+        assert cells[9] == ""
 
 
 def test_reference_two_level_row(capsys):
