@@ -41,6 +41,7 @@ CSV_COLUMNS = [
 ]
 
 POOL_SIZE = min(4, os.cpu_count() or 1)   # rows computed at once under --parallel
+MAX_ROUNDS = 1000   # even a contraction of 0.97 per round reaches 1e-13 within it
 
 
 class UsageError(ValueError):
@@ -83,8 +84,8 @@ class RunConfig:
             )
         if not 1 <= self.l <= MAX_DEGREE:
             raise UsageError(f"degree l must be in [1, {MAX_DEGREE}], got {self.l}")
-        if self.algorithm != "galerkin" and self.k < 1:
-            raise UsageError(f"iteration count must be >= 1, got {self.k}")
+        if self.algorithm != "galerkin" and not 1 <= self.k <= MAX_ROUNDS:
+            raise UsageError(f"iteration count must be in [1, {MAX_ROUNDS}], got {self.k}")
         if self.algorithm == "two-level":
             if self.s is None:
                 raise UsageError("two-level runs need --s (fine degree)")
@@ -225,6 +226,8 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
         raise UsageError("at least one degree is required")
     if any(not 1 <= d <= MAX_DEGREE for d in degrees):
         raise UsageError(f"degrees must be in [1, {MAX_DEGREE}], got {degrees}")
+    if not M_list:
+        raise UsageError("at least one mesh size M is required")
     if any(M < 1 for M in M_list):
         raise UsageError(f"mesh sizes must be positive, got {list(M_list)}")
     first = degrees[0]

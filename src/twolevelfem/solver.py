@@ -1,18 +1,17 @@
 """Sparse linear solvers with a uniform report.
 
 `make_factor` is the one entry point, for the symmetric positive definite
-sub-solves and the general nonsymmetric ones alike.  Direct factorization
-(SuperLU) is the default; restarted GMRES is available for timing
-comparisons.
+sub-solves and the general nonsymmetric ones alike.  Every solve is one
+certified refinement loop, `_certified`, around an inner solve: SuperLU
+(the default) or restarted GMRES.
 
 Every matrix here has a structurally symmetric sparsity pattern, so SuperLU
 orders columns by minimum degree on the pattern of A^T + A rather than by its
-default COLAMD; partial pivoting is kept, which keeps the one factorization
-safe for the nonsymmetric, possibly indefinite coarse operators.  Direct
-solves are polished with iterative refinement while the relative residual is
-above both the tolerance and the floor that float64 evaluation of the
-residual can certify, so the iteration never inherits solver noise and no
-triangular solve is spent below what the arithmetic can confirm.
+default COLAMD; partial pivoting keeps the one factorization safe for the
+nonsymmetric, possibly indefinite coarse operators.  Refinement runs while the
+relative residual is above both the tolerance and the floor float64 evaluation
+of the residual can certify (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
+1989), so no inner solve is spent below what the arithmetic can confirm.
 """
 
 from __future__ import annotations
@@ -63,8 +62,53 @@ def _scaled(b: np.ndarray) -> tuple[np.ndarray, float]:
     return b * scale, scale
 
 
+def _residual_floor(A, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
+    """Smallest relative residual float64 evaluation can certify: A@x - b
+    rounds terms of size |A| |x| + |b|, so a backward-stable solve at that scale
+    times machine epsilon is as exact as the arithmetic allows.  The floor
+    exceeds TOL on large systems whose loads are small against the stiffness."""
+    scale = np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
+    return 8.0 * np.finfo(float).eps * float(scale) / norm_b
+
+
+def _certified(A, b: np.ndarray, inner: Callable, method: str,
+               factor_time_s: float) -> tuple[np.ndarray, SolveReport]:
+    """Solve A x = b by inner(r) -> (d, iterations) with A d ~ r, refined at
+    most _MAX_REFINE times while the residual is above TOL and the certified
+    floor and each step lowers it; iterations = refinements + inner ones."""
+    t0 = time.perf_counter()
+    if not b.any():
+        return np.zeros_like(b), SolveReport(method, 0, 0.0, factor_time_s,
+                                             time.perf_counter() - t0)
+    b, scale = _scaled(b)
+    norm_b = np.linalg.norm(b)
+    x, iterations = inner(b)
+    resid = _relative_residual(A, x, b, norm_b)
+    refinements = 0
+    target = max(TOL, _residual_floor(A, x, b, norm_b)) if resid > TOL else TOL
+    while resid > target and refinements < _MAX_REFINE:
+        step, spent = inner(b - A @ x)
+        iterations += spent
+        candidate = x + step
+        new_resid = _relative_residual(A, candidate, b, norm_b)
+        if not new_resid < resid:
+            break
+        x, resid = candidate, new_resid
+        refinements += 1
+    report = SolveReport(method, refinements + iterations, resid, factor_time_s,
+                         time.perf_counter() - t0)
+    if not np.isfinite(resid) or not np.all(np.isfinite(x)):
+        raise SolverError(f"{method} solve produced non-finite values "
+                          "(matrix singular or near singular)", report)
+    if resid > target:
+        raise SolverError(f"{method} solve stalled at relative residual {resid:.3e} after "
+                          f"{report.iterations} iterations (target {target:.1e}: tolerance "
+                          f"{TOL:.1e} or the certified floor, whichever is larger)", report)
+    return x / scale, report
+
+
 class DirectFactor:
-    """Reusable sparse LU factorization with residual polishing."""
+    """Reusable sparse LU factorization; its solves run the certified loop."""
 
     def __init__(self, A: sp.spmatrix):
         self.A = A.tocsr()
@@ -76,84 +120,36 @@ class DirectFactor:
         self.factor_time_s = time.perf_counter() - t0
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        t0 = time.perf_counter()
-        if not b.any():
-            report = SolveReport("direct", 0, 0.0, self.factor_time_s,
-                                 time.perf_counter() - t0)
-            return np.zeros_like(b), report
-        b, scale = _scaled(b)
-        norm_b = np.linalg.norm(b)
-        x = self._lu.solve(b)
-        resid = _relative_residual(self.A, x, b, norm_b)
-        refinements = 0
-        target = TOL
-        if resid > TOL:
-            target = max(TOL, self._residual_floor(x, b, norm_b))
-        while resid > target and refinements < _MAX_REFINE:
-            candidate = x + self._lu.solve(b - self.A @ x)
-            new_resid = _relative_residual(self.A, candidate, b, norm_b)
-            if not new_resid < resid:
-                break
-            x, resid = candidate, new_resid
-            refinements += 1
-        report = SolveReport("direct", refinements, resid, self.factor_time_s,
-                             time.perf_counter() - t0)
-        if not np.isfinite(resid) or not np.all(np.isfinite(x)):
-            raise SolverError("direct solve produced non-finite values "
-                              "(matrix singular or near singular)", report)
-        if resid > target:
-            raise SolverError(
-                f"direct solve stalled at relative residual {resid:.3e} "
-                f"(target {target:.1e}: tolerance {TOL:.1e} or the certified "
-                "floor, whichever is larger)", report)
-        return x / scale, report
-
-    def _residual_floor(self, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
-        """Smallest relative residual float64 evaluation can certify.
-
-        Computing A@x - b rounds terms of size |A| |x| + |b|, so once the
-        residual reaches that scale times machine epsilon it cannot shrink
-        further; a backward-stable solve reaching this floor is as exact as
-        the arithmetic allows even when the floor exceeds the tolerance
-        (which happens on large systems whose load vectors are small against
-        the stiffness entries).
-        """
-        scale = np.linalg.norm(abs(self.A) @ np.abs(x) + np.abs(b))
-        return 8.0 * np.finfo(float).eps * float(scale) / norm_b
+        return _certified(self.A, b, lambda r: (self._lu.solve(r), 0), "direct",
+                          self.factor_time_s)
 
 
 def _krylov_solve(A, b) -> tuple[np.ndarray, SolveReport]:
-    """Restarted GMRES from the zero guess, at most 10 iterations per unknown."""
-    if not b.any():
-        return np.zeros_like(b), SolveReport("gmres", 0, 0.0, 0.0, 0.0)
-    b, scale = _scaled(b)
-    norm_b = np.linalg.norm(b)
-    count = {"n": 0}
+    """Restarted GMRES from the zero guess as the certified loop's inner
+    solve; its runs share at most 10 iterations per unknown."""
+    budget = _KRYLOV_ITERS_PER_UNKNOWN * A.shape[0]
 
-    def tick(_):
-        count["n"] += 1
+    def gmres(r):
+        nonlocal budget
+        if budget == 0:
+            return np.zeros_like(r), 0
+        ticks = []   # one entry per GMRES iteration
+        d, _ = spla.gmres(A, r, rtol=TOL, atol=0.0, maxiter=budget, restart=50,
+                          callback=ticks.append, callback_type="legacy")
+        budget -= len(ticks)
+        return d, len(ticks)
 
-    maxiter = _KRYLOV_ITERS_PER_UNKNOWN * A.shape[0]
-    t0 = time.perf_counter()
-    x, info = spla.gmres(A, b, rtol=TOL, atol=0.0, maxiter=maxiter,
-                         restart=50, callback=tick, callback_type="legacy")
-    elapsed = time.perf_counter() - t0
-    resid = _relative_residual(A, x, b, norm_b)
-    report = SolveReport("gmres", count["n"], resid, 0.0, elapsed)
-    if info != 0 or resid > TOL:
-        raise SolverError(
-            f"gmres did not converge within {maxiter} iterations "
-            f"(relative residual {resid:.3e}, tolerance {TOL:.1e})", report)
-    return x / scale, report
+    return _certified(A, b, gmres, "gmres", 0.0)
 
 
 def make_factor(A: sp.spmatrix, solver: str = "direct"
                 ) -> Callable[[np.ndarray], tuple[np.ndarray, SolveReport]]:
     """The solve of A x = b for repeated right-hand sides: b -> (x, report).
 
-    solver is "direct" (SuperLU, factored once here and shared by every
-    call) or "iterative" (GMRES from scratch on every call).  Raises
-    SolverError on breakdown, singularity or non-convergence.
+    Both choices run the same certified refinement loop; solver picks its
+    inner solve: "direct" (SuperLU, factored once here and shared by every
+    call) or "iterative" (restarted GMRES from scratch on every call).
+    Raises SolverError on breakdown, singularity or a stalled residual.
     """
     if solver == "iterative":
         return lambda b: _krylov_solve(A, b)

@@ -3,8 +3,10 @@
 perfbench/spans.py records per-layer spans by replacing module attributes
 of the package; a wrap point that no longer resolves drops its metrics from
 the benchmark without failing it, so a removal has to fail here instead.
-The benchmark worker imports a few more names; without one of them every
-benchmark run stops, so those are checked here too.
+A wrap point that resolves but is bypassed records nothing either, so a
+few tiny rows are traced here too.  The benchmark worker imports a few more
+names; without one of them every benchmark run stops, so those are checked
+here as well.
 """
 
 import ast
@@ -13,6 +15,7 @@ import importlib.util
 from pathlib import Path
 
 import twolevelfem
+from twolevelfem import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -23,14 +26,46 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_benchmark_wrap_points_resolve():
+def load_spans():
     module_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_wrap_points_resolve():
+    spans = load_spans()
     missing = [f"{name}: {getattr(owner, '__name__', owner)}.{attr}"
                for name, owner, attr, _, _ in spans.wrap_points()
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_benchmark_wrap_points_are_on_the_pipeline_path():
+    """A wrap point the pipeline bypasses resolves but records nothing, so
+    three tiny rows must record every span name, and the iterative row's
+    solves must reach the Krylov wrap point and no SuperLU factorization."""
+    spans = load_spans()
+    recorder = spans.Recorder()
+    undo, missing = spans.install(recorder)
+    try:
+        for config in [
+            cli.RunConfig("1", "two-level", 1, 2, 3, (2,)),
+            cli.RunConfig("1", "two-grid", 1, None, 3, (2,), error_against="exact"),
+            cli.RunConfig("1", "two-level", 1, 2, 3, (2,), solver="iterative"),
+        ]:
+            span = recorder.open_row()
+            cli.run_experiment(config)
+            recorder.close(span)
+    finally:
+        for action in undo:
+            action()
+    assert missing == set()
+    assert {name for name, *_ in spans.wrap_points()} <= {s["name"] for s in recorder.spans}
+    iterative = [s for s in recorder.spans if s["row"] == 2]
+    solves = [s for s in iterative if s["name"] == "solver.solve"]
+    assert solves and all("krylov_iters" in s["counts"] for s in solves)
+    assert "solver.superlu" not in {s["name"] for s in iterative}
 
 
 def package_names_used(path: Path) -> set[str]:

@@ -141,6 +141,10 @@ def test_dof_table_markdown(capsys):
         ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,12",
          "--scale-exponent", "-1000"],                              # 12**-1000 underflows
         ["--example", "1", "--algorithm", "two-grid", "--l", "1", "--M", "1,2"],  # r = M = 1
+        ["--example", "1", "--algorithm", "two-level", "--l", "1", "--s", "2",
+         "--k", "1000000000000", "--M", "2"],                       # k > MAX_ROUNDS
+        ["--dof-table", "--M", ""],
+        ["--dof-table", "--M", ","],
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):
@@ -148,6 +152,15 @@ def test_bad_usage_exits_with_2(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_round_count_is_bounded_except_for_galerkin():
+    for algorithm, s in [("two-level", 2), ("two-grid", None)]:
+        run = dict(example="1", algorithm=algorithm, l=1, s=s, M_list=(2,))
+        cli.RunConfig(k=cli.MAX_ROUNDS, **run)
+        with pytest.raises(cli.UsageError, match="iteration count"):
+            cli.RunConfig(k=cli.MAX_ROUNDS + 1, **run)
+    cli.RunConfig(example="1", algorithm="galerkin", l=1, s=None, k=10**12, M_list=(2,))
 
 
 @pytest.mark.parametrize("p", [-285, 285])
@@ -179,15 +192,13 @@ def run_argv(draw):
             argv.extend([flag, value])
         return value
 
-    algorithm = option("--algorithm", ["two-grid", "two-level", "galerkin", None], ["bogus"])
+    option("--algorithm", ["two-grid", "two-level", "galerkin", None], ["bogus"])
     option("--example", ["1", "2"], [None, "3", ""])
     option("--M", ["1", "2", "3", "3,1", "3,2,", "2,,2"],
            [None, "", ",", "0", "-1", "2,x", HUGE, "square"])
     option("--l", [None, "1", "2"], BAD_INTS)
     option("--s", [None, "2", "3"], BAD_INTS)
-    # k has no upper bound; only galerkin, which ignores k, may get a huge one.
-    option("--k", [None, "1", "2", "3"],
-           ["0", "-1", "x", "", "square"] + ([HUGE] if algorithm == "galerkin" else []))
+    option("--k", [None, "1", "2", "3"], BAD_INTS)
     option("--fine-factor", [None, "2", "3", "square"], ["1", "0", "-1", HUGE, "x", ""])
     option("--scale-exponent", [None, "2", "-3"], ["-2000", *BAD_INTS])
     option("--solver", [None, "direct", "iterative"], ["cholesky"])
@@ -309,6 +320,27 @@ def test_parallel_rows_match_sequential(capsys):
     # Parallel rows leave the timing column blank.
     for line in parallel.out.strip().split("\n")[1:]:
         assert line.endswith(",")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--algorithm", "galerkin", "--l", "2"],
+     ["--algorithm", "two-level", "--l", "2", "--s", "4"],
+     ["--algorithm", "two-grid", "--l", "2", "--fine-factor", "2"]],
+    ids=["galerkin", "two-level", "two-grid"],
+)
+def test_iterative_rows_match_direct_rows(argv, capsys):
+    """--solver iterative runs the whole iteration on GMRES and must print
+    the direct path's errors."""
+    argv = ["--example", "1", *argv, "--M", "3,4"]
+    errors = {}
+    for solver in ["direct", "iterative"]:
+        code, captured = run_main([*argv, "--solver", solver], capsys)
+        assert code == 0
+        header, body = table_lines(captured.out, "csv")
+        errors[solver] = [float(row[header.index("h1_error")]) for row in body]
+    assert len(errors["direct"]) == 2
+    assert errors["iterative"] == pytest.approx(errors["direct"], rel=1e-6)
 
 
 def test_problem_file_run(tmp_path, capsys):

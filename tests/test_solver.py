@@ -79,9 +79,15 @@ def test_general_solve_indefinite_operator():
 
 
 def test_singular_matrix_raises():
+    """Both solvers refuse a singular system; GMRES reports its attempt,
+    which stays within the budget of 10 iterations per unknown."""
     K = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(SolverError, match="singular"):
-        make_factor(K)(np.array([1.0, 1.0]))
+    for solver, message in [("direct", "singular"), ("iterative", "gmres")]:
+        with pytest.raises(SolverError, match=message) as excinfo:
+            make_factor(K, solver)(np.array([1.0, 1.0]))
+    report = excinfo.value.report
+    assert report.method == "gmres"
+    assert report.iterations <= 10 * K.shape[0]
 
 
 def test_zero_rhs_short_circuits():
@@ -188,6 +194,25 @@ def test_refinement_stops_at_certified_floor():
     x, report = make_factor(A)(F)
     assert report.iterations == 0
     assert TOL < report.relative_residual <= certified_floor(A, x, F)
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_ill_conditioned_solve_stops_at_the_certified_floor(solver):
+    """SPD with condition number 2e5 and b mostly along the eigenvector of
+    the smallest eigenvalue: TOL is out of GMRES's reach, but both solvers
+    must stop at the certified floor with the dense solve's accuracy."""
+    n = 20
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigenvalues = np.concatenate([[1e-5], np.linspace(0.5, 2.0, n - 1)])
+    A = sp.csr_matrix(Q @ np.diag(eigenvalues) @ Q.T)
+    b = Q @ np.concatenate([[1e-5], 1e-8 * rng.standard_normal(n - 1)])
+    x, report = make_factor(A, solver)(b)
+    assert report.relative_residual <= max(TOL, certified_floor(A, x, b))
+    reference = np.linalg.solve(A.toarray(), b)
+    cond = eigenvalues.max() / eigenvalues.min()
+    assert np.linalg.norm(x - reference) <= \
+        cond * np.finfo(float).eps * np.linalg.norm(reference)
 
 
 def test_refinement_polishes_an_inexact_factor():
