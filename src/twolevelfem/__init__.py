@@ -23,7 +23,6 @@ from .analysis import (
     time_run,
 )
 from .assembly import (
-    CoefficientError,
     ProblemSpec,
     assemble_load,
     assemble_nonsym,
@@ -47,6 +46,7 @@ from .mesh import (
 from .problems import example_1, example_2, get_problem, load_problem_file
 from .solver import SolveReport, SolverError, make_factor
 from .space import (
+    CoefficientError,
     FeSpace,
     Prolongation,
     build_prolongation,

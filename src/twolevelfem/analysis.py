@@ -9,11 +9,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import checked_field, element_blocks
+from .assembly import element_blocks
 # perfbench/spans.py wraps these two at this module; nothing here calls them.
 from .assembly import assemble_nonsym, assemble_stiffness  # noqa: F401
 from .element import QuadratureRule, build_quadrature, tabulate_basis
-from .space import FeSpace
+from .space import FeSpace, checked_field
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def h1_norm_discrete(space: FeSpace, coefficients) -> float:
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:
     """H1 distance between two members of the same space."""
-    a = np.asarray(coefficients_a, dtype=float)
-    b = np.asarray(coefficients_b, dtype=float)
-    return h1_norm_discrete(space, a - b)
+    return h1_norm_discrete(space, np.subtract(coefficients_a, coefficients_b, dtype=float))
 
 
 def estimate_orders(rows: list[ExperimentRow]) -> tuple[list[float], float]:

@@ -21,10 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import QuadratureRule, build_quadrature, tabulate_basis
-from .mesh import Mesh, MeshGeometryError
-# The coefficient check lives in space, whose interpolation checks exact_u;
-# CoefficientError is imported only so twolevelfem.assembly still exports it.
-from .space import CoefficientError, FeSpace, checked_field
+from .space import FeSpace, checked_field
 
 # Elements per vectorized assembly block; bounds the size of the per-block
 # coefficient arrays regardless of mesh size.
@@ -49,38 +46,15 @@ def default_assembly_quadrature(degree: int) -> QuadratureRule:
     return build_quadrature(2 * degree + 3)
 
 
-def element_geometry(mesh: Mesh):
-    """First vertices, Jacobians, determinants and inverse Jacobians.
-
-    Raises MeshGeometryError if any triangle is degenerate or negatively
-    oriented.
-    """
-    v = mesh.vertices[mesh.triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(det <= 0.0):
-        bad = int(np.argmax(det <= 0.0))
-        raise MeshGeometryError(
-            f"triangle {bad} has non-positive Jacobian determinant {det[bad]:.3e}"
-        )
-    jac = np.stack([d1, d2], axis=-1)
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1] / det
-    inv[:, 0, 1] = -jac[:, 0, 1] / det
-    inv[:, 1, 0] = -jac[:, 1, 0] / det
-    inv[:, 1, 1] = jac[:, 0, 0] / det
-    return v[:, 0], jac, det, inv
-
-
 def element_blocks(space: FeSpace, quad: QuadratureRule):
     """Walk the triangles of `space` in blocks of at most _BLOCK.
 
     Yields (block, pts, wdet, inv): the slice of triangles, the physical
     quadrature points (e, q, 2), the quadrature weights times the Jacobian
-    determinants (e, q) and the inverse Jacobians (e, 2, 2).
+    determinants (e, q) and the inverse Jacobians (e, 2, 2), all read off
+    the mesh's affine maps.
     """
-    v0, jac, det, inv = element_geometry(space.mesh)
+    v0, jac, det, inv = space.mesh.affine
     n = space.mesh.n_triangles
     for start in range(0, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))

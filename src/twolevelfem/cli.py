@@ -28,12 +28,12 @@ from typing import Optional, Union
 
 from .algorithms import IterationOperators, galerkin_solve, run_correction_iteration
 from .analysis import ExperimentRow, h1_distance, h1_error, time_run
-from .assembly import CoefficientError, ProblemSpec
+from .assembly import ProblemSpec
 from .element import MAX_DEGREE
 from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
 from .solver import SolverError
-from .space import build_space, dof_count, interpolate
+from .space import CoefficientError, build_space, dof_count, interpolate
 
 CSV_COLUMNS = [
     "M", "H", "l", "s_or_r", "k",
@@ -42,6 +42,7 @@ CSV_COLUMNS = [
 
 POOL_SIZE = min(4, os.cpu_count() or 1)   # rows computed at once under --parallel
 MAX_ROUNDS = 1000   # even a contraction of 0.97 per round reaches 1e-13 within it
+_BASE_BYTES = 80 * 2**20   # the interpreter with numpy and scipy loaded
 
 
 class UsageError(ValueError):
@@ -122,6 +123,20 @@ class RunConfig:
         """The two-grid refinement factor for coarse mesh size M."""
         return M if self.fine_factor == "square" else int(self.fine_factor)
 
+    def row_bytes(self, M: int) -> float:
+        """Peak memory of the row at M, above that of 14 measured rows (P1-P6,
+        up to 187,489 DOFs): in each space the row assembles and factors, L+U
+        holds at most 16 n^0.2 entries per DOF, at 20 bytes each while SuperLU
+        factors (12 stored, the rest its work arrays and the matrix copies),
+        and assembly's COO buffers take 24 bytes per local entry."""
+        spaces = [(self.l, M)]
+        if self.algorithm == "two-level":
+            spaces.append((self.s, M))
+        elif self.algorithm == "two-grid":
+            spaces.append((self.l, M * self.resolved_fine_factor(M)))
+        return sum(20 * 16 * dof_count(m, p) ** 1.2
+                   + 24 * 2 * m * m * ((p + 1) * (p + 2) // 2) ** 2 for p, m in spaces)
+
     def resolved_scale_exponent(self) -> int:
         if self.scale_exponent is not None:
             return self.scale_exponent
@@ -182,7 +197,16 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
     Every row takes the same path.  Rows run one after another by default,
     so that cpu_seconds means something; with config.parallel up to
     POOL_SIZE rows run at once on threads and cpu_seconds is left blank.
+    A sweep whose largest row (the POOL_SIZE largest with config.parallel)
+    would not fit in physical memory is refused before any row runs, rather
+    than left to the OOM killer.
     """
+    rows = sorted(map(config.row_bytes, config.M_list))
+    need = _BASE_BYTES + sum(rows[-POOL_SIZE:] if config.parallel else rows[-1:])
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise UsageError(f"rows up to M = {max(config.M_list)} need ~{need / 2**30:.1f} GiB, "
+                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
     try:
         problem = get_problem(config.example)
     except ValueError as exc:
@@ -254,14 +278,9 @@ def _check_output_path(path: Optional[str]) -> None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise UsageError(f"--output {path!r}: no directory {parent!r}")
-
-
-def _emit(text: str, output_path: Optional[str]) -> None:
-    if output_path:
-        with open(output_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if len(os.fsencode(os.path.basename(path))) > os.pathconf(parent, "PC_NAME_MAX") \
+            or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError(f"--output {path!r} cannot be written")
 
 
 def _parse_int_list(text: str, what: str) -> tuple:
@@ -344,24 +363,25 @@ def main(argv=None) -> int:
             raise UsageError("--example is required unless --dof-table is given")
         else:
             rows = run_experiment(RunConfig(
-                example=args.example,
-                algorithm=args.algorithm,
-                l=args.l,
-                s=args.s,
-                k=args.k,
+                example=args.example, algorithm=args.algorithm, l=args.l, s=args.s, k=args.k,
                 M_list=_parse_int_list(args.M, "--M"),
                 fine_factor=_parse_fine_factor(args.fine_factor),
-                scale_exponent=args.scale_exponent,
-                solver=args.solver,
-                parallel=args.parallel,
-                mesh_diagonal=args.mesh_diagonal,
-                error_against=args.error_against,
+                scale_exponent=args.scale_exponent, solver=args.solver, parallel=args.parallel,
+                mesh_diagonal=args.mesh_diagonal, error_against=args.error_against,
             ))
             header = CSV_COLUMNS
             body = [[getattr(row, name) for name in CSV_COLUMNS] for row in rows]
     except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
-    _emit(render_table(header, body, args.output_format), args.output)
+    text = render_table(header, body, args.output_format)
+    if not args.output:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"--output {args.output!r}: {exc.strerror or exc}")
     return 1 if any(r.failed for r in rows) else 0
 
 

@@ -4,12 +4,14 @@ The unit square (0,1)^2 is cut into an M-by-M grid of cells of side 1/M and
 every cell is split into two triangles along a diagonal.  The default
 orientation is the slope -1 diagonal ("down"); the slope +1 alternative
 ("up") is available through the `diagonal` argument.  This module is the one
-owner of that split: the triangles (only `build_structured_mesh` knows their
-vertex order), the numbering of lattice points that vertices and DOFs share
-(`lattice`), and point location (`locate_points`, which reads the vertices of
-the triangle it finds).  Spaces derive their DOF maps from `Mesh.triangles`.
-Meshes built here are plain immutable containers; a refined mesh never
-mutates the mesh it came from, so meshes can be shared across threads.
+owner of that split and of the geometry it implies: the triangles (only
+`build_structured_mesh` knows their vertex order), the numbering of lattice
+points that vertices and DOFs share (`lattice`), each triangle's affine map
+from the reference triangle (`Mesh.affine`, computed once per mesh and read
+by assembly and the H1 norms), and point location (`locate_points`, which
+inverts those maps).  Spaces derive their DOF maps from `Mesh.triangles`.
+Meshes are immutable and safe to share across threads; a refined mesh never
+mutates the mesh it came from.
 """
 
 from __future__ import annotations
@@ -65,10 +67,7 @@ class Mesh:
 
     @cached_property
     def _edge_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = np.concatenate(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
-        pairs.sort(axis=1)
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         return np.unique(pairs, axis=0, return_counts=True)
 
     @cached_property
@@ -84,6 +83,28 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each triangle's map x = v0 + J xi from the reference triangle:
+        first vertices v0 (n, 2), Jacobians J (n, 2, 2), determinants (n,)
+        and inverse Jacobians (n, 2, 2).
+
+        Raises MeshGeometryError if any triangle is degenerate or clockwise.
+        """
+        v0 = self.vertices[self.triangles[:, 0]]
+        d1 = self.vertices[self.triangles[:, 1]] - v0
+        d2 = self.vertices[self.triangles[:, 2]] - v0
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        if np.any(det <= 0.0):
+            bad = int(np.argmax(det <= 0.0))
+            raise MeshGeometryError(
+                f"triangle {bad} has non-positive Jacobian determinant {det[bad]:.3e}"
+            )
+        jac = np.stack([d1, d2], axis=-1)
+        inv = np.stack([d2[:, 1], -d2[:, 0], -d1[:, 1], d1[:, 0]], -1).reshape(-1, 2, 2)
+        inv /= det[:, None, None]
+        return v0, jac, det, inv
 
 
 def lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +169,6 @@ def refine_nested(coarse: Mesh, r: int) -> Mesh:
     return build_structured_mesh(coarse.M * int(r), diagonal=coarse.diagonal)
 
 
-def _reference_coordinates(mesh: Mesh, triangle: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(xi, eta) of each point in its triangle's own vertex order."""
-    a, b, c = np.moveaxis(mesh.vertices[mesh.triangles[triangle]], 1, 0)
-    return np.linalg.solve(np.stack([b - a, c - a], axis=-1), (pts - a)[..., None])[..., 0]
-
-
 def locate_points(mesh: Mesh, points: np.ndarray):
     """Find the mesh triangle containing each point, with reference coords.
 
@@ -173,11 +188,12 @@ def locate_points(mesh: Mesh, points: np.ndarray):
         raise ValueError(f"point ({x!r}, {y!r}) is not in the closed unit square")
     M = mesh.M
     ci, cj = np.clip(np.floor(pts * M).astype(np.int64), 0, M - 1).T
-    # Cell c is split into triangles 2c and 2c+1: try the first, and move
-    # a point whose barycentric coordinates there are not all >= 0.
-    triangle = 2 * (cj * M + ci)
-    ref = _reference_coordinates(mesh, triangle, pts)
-    second = np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1)) < -_SLACK
-    triangle[second] += 1
-    ref[second] = _reference_coordinates(mesh, triangle[second], pts[second])
-    return triangle, ref
+    # Cell c is split into triangles 2c and 2c+1: map the point into both
+    # and keep the one where its smallest barycentric coordinate is largest.
+    v0, _, _, inv = mesh.affine
+    pair = 2 * (cj * M + ci)[:, None] + np.arange(2)                   # (n, 2)
+    ref = np.einsum("ntab,ntb->nta", inv[pair], pts[:, None] - v0[pair])
+    inside = np.minimum(ref.min(axis=2), 1.0 - ref.sum(axis=2))
+    best = np.argmax(inside, axis=1)
+    rows = np.arange(len(pts))
+    return pair[rows, best], ref[rows, best]

@@ -20,7 +20,6 @@ from twolevelfem import (
     interpolate,
     time_run,
 )
-from twolevelfem.assembly import element_geometry
 from twolevelfem.problems import example_1, example_2
 
 # H1 norm of sin(pi x) sin(pi y): integral of u^2 is 1/4, of |grad u|^2 is
@@ -136,7 +135,7 @@ def test_norms_on_a_mesh_where_every_jacobian_differs():
     jitter = np.random.default_rng(5).uniform(-0.2 / M, 0.2 / M, mesh.vertices.shape)
     vertices = mesh.vertices + jitter * ~mesh.boundary_vertex_flags[:, None]
     mesh = dataclasses.replace(mesh, vertices=vertices)
-    jacobians = element_geometry(mesh)[1].reshape(-1, 4)
+    jacobians = mesh.affine[1].reshape(-1, 4)
     assert len(np.unique(jacobians, axis=0)) == mesh.n_triangles
 
     space = build_space(mesh, 1)

@@ -21,7 +21,7 @@ from twolevelfem import (
     interior_block,
     interpolate,
 )
-from twolevelfem.assembly import default_assembly_quadrature, element_geometry
+from twolevelfem.assembly import default_assembly_quadrature
 from twolevelfem.element import tabulate_basis
 from twolevelfem.mesh import Mesh
 from twolevelfem.problems import example_1
@@ -141,7 +141,7 @@ def direct_quadrature(space, spec):
     at a time.  alpha may be scalar or a 2x2 matrix field."""
     quad = default_assembly_quadrature(space.degree)
     vals, ref_grads = tabulate_basis(space.element, quad.points)
-    v0, jac, det, inv = element_geometry(space.mesh)
+    v0, jac, det, inv = space.mesh.affine
     n = space.n_dofs_total
     A_ref = np.zeros((n, n))
     N_ref = np.zeros((n, n))
@@ -308,7 +308,7 @@ def test_degenerate_triangle_rejected():
         boundary_vertex_flags=np.ones(4, dtype=bool),
     )
     with pytest.raises(MeshGeometryError):
-        element_geometry(mesh)
+        mesh.affine
     with pytest.raises(MeshGeometryError):
         assemble_stiffness(build_space(mesh, 1), constant_problem())
 

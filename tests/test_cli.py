@@ -1,7 +1,10 @@
 """Command line interface: table layout, formats, exit codes, parallel mode."""
 
 import contextlib
+import functools
+import importlib
 import io
+import os
 import re
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from twolevelfem import cli
 from twolevelfem.analysis import h1_error
 from twolevelfem.algorithms import galerkin_solve
-from twolevelfem.mesh import build_structured_mesh
+from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
 from twolevelfem.solver import SolverError
 from twolevelfem.space import build_space
@@ -145,6 +148,10 @@ def test_dof_table_markdown(capsys):
          "--k", "1000000000000", "--M", "2"],                       # k > MAX_ROUNDS
         ["--dof-table", "--M", ""],
         ["--dof-table", "--M", ","],
+        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,3",
+         "--output", "x" * 300],                                    # name too long
+        ["--example", "1", "--algorithm", "two-grid", "--M", "64"],  # 151 M fine DOFs
+        ["--example", "1", "--algorithm", "galerkin", "--l", "6", "--M", "4096"],
     ],
 )
 def test_bad_usage_exits_with_2(argv, capsys):
@@ -152,6 +159,96 @@ def test_bad_usage_exits_with_2(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_output_that_fails_at_the_final_write_exits_with_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_check_output_path", lambda path: None)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--dof-table", "--M", "2", "--output", "x" * 300])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("twolevelfem: error: --output ")
+
+
+@pytest.mark.parametrize("run", [
+    dict(algorithm="two-grid", l=3, s=None, M_list=(64,)),        # 151,019,521 fine DOFs
+    dict(algorithm="galerkin", l=6, s=None, M_list=(4096,)),      # 604,028,929 DOFs
+])
+def test_rows_that_cannot_fit_in_memory_are_refused(run):
+    with pytest.raises(cli.UsageError, match="physical memory"):
+        cli.run_experiment(cli.RunConfig(example="1", k=3, **run))
+
+
+def test_parallel_rows_count_together_against_memory(monkeypatch):
+    """With memory for one and a half rows, two rows run one after another
+    but not at once."""
+    run = dict(example="1", algorithm="two-grid", l=1, s=None, k=1, M_list=(2, 2))
+    memory = cli._BASE_BYTES + 1.5 * cli.RunConfig(**run).row_bytes(2)
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: int(memory) // page
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    monkeypatch.setattr(cli, "POOL_SIZE", 2)
+    assert len(cli.run_experiment(cli.RunConfig(**run))) == 2
+    with pytest.raises(cli.UsageError, match="physical memory"):
+        cli.run_experiment(cli.RunConfig(**run, parallel=True))
+
+
+# Peak RSS (ru_maxrss) in MiB of single rows, each run alone through
+# run_experiment in a fresh process (Linux x86-64); the estimate must not
+# fall below them.
+MEASURED_PEAKS = [
+    ("two-grid", 3, None, 9, 232), ("two-grid", 3, None, 12, 629),
+    ("two-grid", 1, None, 20, 431), ("galerkin", 2, None, 200, 466),
+    ("galerkin", 6, None, 70, 527), ("two-level", 1, 2, 150, 325),
+    ("two-level", 5, 6, 60, 761), ("two-level", 3, 6, 12, 84),
+]
+
+
+@pytest.mark.parametrize("algorithm,l,s,M,peak_mib", MEASURED_PEAKS)
+def test_memory_estimate_lies_above_measured_rows(algorithm, l, s, M, peak_mib):
+    config = cli.RunConfig(example="1", algorithm=algorithm, l=l, s=s, k=3, M_list=(M,))
+    assert cli._BASE_BYTES + config.row_bytes(M) >= peak_mib * 2**20
+
+
+def test_benchmark_and_acceptance_rows_are_admitted(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [preset.run_config(M) for presets in workloads.WORKLOADS.values()
+               for preset in presets for M in workloads.M_SWEEP]
+    configs += [   # the sweeps of tests/test_acceptance.py
+        cli.RunConfig(example=example, algorithm=algorithm, l=3, s=s, k=3,
+                      M_list=(9, 10, 11, 12))
+        for example in ("1", "2")
+        for algorithm, s in [("two-grid", None), ("two-level", 4), ("two-level", 5),
+                             ("two-level", 6)]
+    ]
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    need = max(config.row_bytes(M) for config in configs for M in config.M_list)
+    assert cli._BASE_BYTES + need < memory
+
+
+@pytest.mark.parametrize("algorithm,s,error_against,meshes_per_row", [
+    ("two-level", 4, "interpolant", 1),
+    ("two-level", 4, "exact", 1),
+    ("two-grid", None, "interpolant", 2),
+])
+def test_each_mesh_builds_its_affine_map_once_per_row(
+        algorithm, s, error_against, meshes_per_row, monkeypatch):
+    built = []
+    compute = Mesh.affine.func
+
+    def counted(mesh):
+        built.append(mesh)
+        return compute(mesh)
+
+    affine = functools.cached_property(counted)
+    affine.__set_name__(Mesh, "affine")
+    monkeypatch.setattr(Mesh, "affine", affine)
+    cli.run_experiment(cli.RunConfig(example="1", algorithm=algorithm, l=2, s=s, k=2,
+                                     M_list=(2, 3), error_against=error_against))
+    assert len(built) == 2 * meshes_per_row
+    assert len({id(mesh) for mesh in built}) == len(built)
 
 
 def test_round_count_is_bounded_except_for_galerkin():
@@ -252,6 +349,14 @@ def test_readme_flags_table_names_every_option():
     defined = {option for action in cli.build_parser()._actions
                for option in action.option_strings if option.startswith("--")}
     assert documented == defined - {"--help"}
+
+
+def test_readme_module_map_names_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Module map\n", 1)[1].strip().split("\n\n", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE))
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    assert documented == modules - {"__init__"}
 
 
 BAD_PROBLEM = """

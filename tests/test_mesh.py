@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twolevelfem import MeshSizeError, build_structured_mesh, refine_nested
-from twolevelfem.assembly import element_geometry
 
 DIAGONALS = ["down", "up"]
 
@@ -43,7 +42,7 @@ def test_m9_counts():
 @pytest.mark.parametrize("M", [1, 3, 7])
 def test_areas_uniform_and_positive(M, diagonal):
     mesh = build_structured_mesh(M, diagonal=diagonal)
-    areas = 0.5 * element_geometry(mesh)[2]
+    areas = 0.5 * mesh.affine[2]
     assert np.all(areas > 0)  # counterclockwise orientation
     assert np.allclose(areas, 1.0 / (2 * M * M), rtol=0, atol=1e-15)
     assert abs(areas.sum() - 1.0) <= 1e-14

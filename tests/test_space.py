@@ -17,6 +17,7 @@ from twolevelfem import (
     refine_nested,
 )
 from twolevelfem.element import tabulate_basis
+from twolevelfem.mesh import lattice, locate_points
 
 
 def rotated_mesh(M, diagonal):
@@ -193,6 +194,30 @@ def test_evaluate_on_edges_and_corners():
     coeffs = interpolate(space, g)
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [1 / 3, 2 / 3]])
     assert np.abs(evaluate(space, coeffs, pts) - g(pts[:, 0], pts[:, 1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind,diagonal", MESH_CASES)
+def test_locate_points_maps_each_point_back_from_its_triangle(kind, diagonal):
+    """Random points, points on cell edges, on both diagonals of a cell and
+    at the corners: the triangle found maps the reference coordinates back
+    onto the point, and the point's barycentric coordinates there are >= 0
+    up to roundoff."""
+    M = 4
+    mesh = MESHES[kind](M, diagonal)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(size=(50, 1))
+    cell = rng.integers(0, M, size=(50, 2))
+    points = np.concatenate([
+        rng.uniform(size=(100, 2)),
+        np.hstack([t, cell[:, :1] / M]), np.hstack([cell[:, :1] / M, t]),  # cell edges
+        (cell + np.hstack([t, t])) / M, (cell + np.hstack([t, 1 - t])) / M,  # diagonals
+        lattice(M)[0],                                                        # corners
+    ])
+    triangle, ref = locate_points(mesh, points)
+    v0, jac, _, _ = mesh.affine
+    mapped = v0[triangle] + np.einsum("nab,nb->na", jac[triangle], ref)
+    assert np.abs(mapped - points).max() <= 1e-14
+    assert np.column_stack([ref, 1.0 - ref.sum(axis=1)]).min() >= -1e-12
 
 
 def test_prolongation_identity():
