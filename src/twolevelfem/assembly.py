@@ -82,7 +82,9 @@ def _integrate(space: FeSpace, table, coefficient) -> np.ndarray:
 
 def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
     """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix."""
-    dofs, nb = space.cell_to_dofs, space.element.n_basis
+    # int32 indices, the ones scipy keeps, so no int64 copy lives beside
+    # them: exact, as no space has more than (6 * 4096 + 1)**2 < 2**31 DOFs.
+    dofs, nb = space.cell_to_dofs.astype(np.int32), space.element.n_basis
     rows, cols = np.repeat(dofs, nb, axis=1).ravel(), np.tile(dofs, (1, nb)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs_total,) * 2).tocsr()
 
@@ -131,7 +133,8 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
 
 
 def interior_block(matrix: sp.spmatrix, space: FeSpace) -> sp.csr_matrix:
-    """Rows and columns of the interior DOFs of `space`.
+    """Rows and columns of the interior DOFs of `space`, in the elimination
+    order of `space.interior_dofs`, which the factor keeps.
 
     This is the elimination of a homogeneous Dirichlet condition: the
     dropped columns multiply zero boundary values, so right-hand sides only

@@ -5,13 +5,14 @@ sub-solves and the general nonsymmetric ones alike.  Every solve is one
 certified refinement loop, `_certified`, around an inner solve: SuperLU
 (the default) or restarted GMRES.
 
-Every matrix here has a structurally symmetric sparsity pattern, so SuperLU
-orders columns by minimum degree on the pattern of A^T + A rather than by its
-default COLAMD; partial pivoting keeps the one factorization safe for the
-nonsymmetric, possibly indefinite coarse operators.  Refinement runs while the
-relative residual is above both the tolerance and the floor float64 evaluation
-of the residual can certify (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
-1989), so no inner solve is spent below what the arithmetic can confirm.
+SuperLU factors each matrix in the order given, with partial pivoting, which
+keeps the one factorization safe for the nonsymmetric, possibly indefinite
+coarse operators.  The spaces hand over their interior blocks in elimination
+order (`FeSpace.interior_dofs`); a caller of `make_factor` on a matrix of
+their own owns its order.  Refinement runs while the relative residual is
+above both the tolerance and the floor float64 evaluation of the residual can
+certify (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 1989), so no inner
+solve is spent below what the arithmetic can confirm.
 """
 
 from __future__ import annotations
@@ -108,13 +109,14 @@ def _certified(A, b: np.ndarray, inner: Callable, method: str,
 
 
 class DirectFactor:
-    """Reusable sparse LU factorization; its solves run the certified loop."""
+    """Reusable sparse LU factorization in the order given; its solves run
+    the certified loop."""
 
     def __init__(self, A: sp.spmatrix):
         self.A = A.tocsr()
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+            self._lu = spla.splu(sp.csc_matrix(A), permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError(f"direct factorization failed: {exc}") from exc
         self.factor_time_s = time.perf_counter() - t0

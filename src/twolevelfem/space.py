@@ -6,6 +6,7 @@ like mesh vertices (`mesh.lattice`).  The DOF map follows `mesh.triangles`
 by integer arithmetic on vertex numbers, so it holds for any vertex order the
 mesh chooses.  Spaces on the same mesh (or on nested meshes) share lattice
 points exactly, so a prolongation is one reference table read through it.
+The interior DOFs are listed in the order a sparse LU eliminates them.
 """
 
 from __future__ import annotations
@@ -69,9 +70,15 @@ class FeSpace:
 
     @cached_property
     def interior_dofs(self) -> np.ndarray:
-        mask = np.ones(self.n_dofs_total, dtype=bool)
-        mask[self.boundary_dofs] = False
-        return np.flatnonzero(mask)
+        """The DOFs off the boundary in elimination order, so SuperLU factors
+        the interior block as it comes.  First each triangle's bubble nodes,
+        triangle by triangle: they couple only inside their triangle, so
+        eliminating them adds no fill outside it (static condensation).  Then
+        the rest by nested dissection of the M x M cells (George, SIAM J.
+        Numer. Anal. 1973): cut along the mesh line x = c/M or y = c/M across
+        the longer side, number the cut after both halves, and recurse down
+        to single cells, which hold the inner nodes of their diagonal."""
+        return _elimination_order(self)
 
 
 def dof_count(M: int, degree: int) -> int:
@@ -93,6 +100,35 @@ def _lattice_dofs(mesh: Mesh, degree: int) -> np.ndarray:
     j, i = np.divmod(mesh.triangles, mesh.M + 1)
     p, q = lattice_nodes(degree).T
     return (j * (n + 1) + i) @ np.stack([degree - p - q, p, q])
+
+
+def _elimination_order(space: FeSpace) -> np.ndarray:
+    """`FeSpace.interior_dofs`.  A region's order is a translated copy of the
+    order of any region of its shape, and bisection makes at most two widths
+    and two heights per level, so each shape is built once, from its halves.
+    Offsets are int32, exact below (6 * 4096 + 1)**2 < 2**31."""
+    d, M = space.degree, space.mesh.M
+    p, q = lattice_nodes(d).T
+    row = d * M + 1  # lattice points per row
+    t = np.arange(1, d, dtype=np.int32)
+    shapes = {(1, 1): t * row + (t if space.mesh.diagonal == "up" else d - t)}
+
+    def region(w, h):
+        """The inner nodes of a w x h cell region that are not bubbles, in
+        order, as lattice offsets from the region's lower-left corner."""
+        if (w, h) not in shapes:
+            if w >= h:  # cut along x = c/M
+                c = w // 2
+                cut = c * d + row * np.arange(1, h * d, dtype=np.int32)
+                shapes[w, h] = np.concatenate([region(c, h), region(w - c, h) + c * d, cut])
+            else:  # cut along y = c/M
+                c = h // 2
+                cut = c * d * row + np.arange(1, w * d, dtype=np.int32)
+                shapes[w, h] = np.concatenate([region(w, c), region(w, h - c) + c * d * row, cut])
+        return shapes[w, h]
+
+    bubbles = space.cell_to_dofs[:, (p > 0) & (q > 0) & (p + q < d)]
+    return np.concatenate([bubbles.ravel(), region(M, M)])
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twolevelfem import (
     Mesh,
@@ -16,7 +18,7 @@ from twolevelfem import (
     interpolate,
     refine_nested,
 )
-from twolevelfem.element import tabulate_basis
+from twolevelfem.element import lattice_nodes, tabulate_basis
 from twolevelfem.mesh import lattice, locate_points
 
 
@@ -80,6 +82,59 @@ def test_unit_cell_space_all_boundary():
     assert space.n_dofs_total == 4
     assert np.array_equal(space.boundary_dofs, np.arange(4))
     assert space.interior_dofs.size == 0
+
+
+def lattice_order(space):
+    """The elimination order of `interior_dofs`, written as a recursion:
+    each triangle's bubble nodes, then the skeleton of the cell grid by
+    nested dissection along mesh lines, each separator after both halves."""
+    d, M = space.degree, space.mesh.M
+    n = d * M
+    bubble = [p > 0 and q > 0 and p + q < d for p, q in lattice_nodes(d)]
+    bubbles = [dof for dofs in space.cell_to_dofs for dof, b in zip(dofs, bubble) if b]
+
+    def point(i, j):
+        return j * (n + 1) + i
+
+    def region(x0, x1, y0, y1):
+        w, h = x1 - x0, y1 - y0
+        if w == h == 1:  # the inner nodes of the cell's diagonal
+            if space.mesh.diagonal == "down":
+                return sorted(point(x0 * d + d - t, y0 * d + t) for t in range(1, d))
+            return [point(x0 * d + t, y0 * d + t) for t in range(1, d)]
+        if w >= h:
+            c = x0 + w // 2
+            return (region(x0, c, y0, y1) + region(c, x1, y0, y1)
+                    + [point(c * d, j) for j in range(y0 * d + 1, y1 * d)])
+        c = y0 + h // 2
+        return (region(x0, x1, y0, c) + region(x0, x1, c, y1)
+                + [point(i, c * d) for i in range(x0 * d + 1, x1 * d)])
+
+    return np.array(bubbles + region(0, M, 0, M), dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(MESHES)), st.sampled_from(["down", "up"]),
+       st.integers(1, 13), st.integers(1, 6))
+@example("standard", "down", 1, 1)       # no interior at all
+@example("rotated", "up", 1, 6)          # one cell: bubbles and its diagonal
+@example("standard", "up", 13, 1)        # no bubbles, no diagonal nodes
+@example("rotated", "down", 13, 6)
+def test_interior_dofs_are_the_lattice_elimination_order(kind, diagonal, M, degree):
+    """interior_dofs is a permutation of the lattice points off the
+    boundary; its first 2 M^2 (d-1)(d-2)/2 entries are the points strictly
+    inside the triangles, triangle by triangle; and it equals the recursion."""
+    space = build_space(MESHES[kind](M, diagonal), degree)
+    order = space.interior_dofs
+    coords = space.dof_coordinates
+    inside = np.flatnonzero(((coords > 0.0) & (coords < 1.0)).all(axis=1))
+    assert np.array_equal(np.sort(order), inside)
+    per_triangle = (degree - 1) * (degree - 2) // 2
+    bubbles = order[:space.mesh.n_triangles * per_triangle].reshape(space.mesh.n_triangles, -1)
+    v0, _, _, inv = space.mesh.affine
+    ref = np.einsum("tab,tnb->tna", inv, coords[bubbles] - v0[:, None])
+    assert np.all(ref > 1e-12) and np.all(ref.sum(axis=2) < 1.0 - 1e-12)
+    assert np.array_equal(order, lattice_order(space))
 
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
