@@ -27,7 +27,6 @@ from .assembly import (
     assemble_load,
     assemble_nonsym,
     assemble_stiffness,
-    interior_block,
 )
 from .element import (
     QuadratureRule,
@@ -91,7 +90,6 @@ __all__ = [
     "h1_distance",
     "h1_error",
     "h1_norm_discrete",
-    "interior_block",
     "interpolate",
     "load_problem_file",
     "make_factor",

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    ProblemSpec,
-    assemble_load,
-    assemble_nonsym,
-    assemble_stiffness,
-    interior_block,
-)
+from .assembly import ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness
 from .mesh import Mesh
 from .solver import make_factor
 from .space import FeSpace, build_prolongation, build_space
@@ -37,8 +31,14 @@ class IterateState:
     """Where the iteration stands: current fine iterate and its history."""
 
     current: np.ndarray
-    iteration: int = 0
     residual_history: list = field(default_factory=list)
+
+
+def _interior_solve(solve, rhs: np.ndarray, space: FeSpace) -> np.ndarray:
+    """`solve` on the interior entries of `rhs`, returned with the zero
+    boundary values appended: a full coefficient vector of `space`."""
+    x = solve(rhs[:space.n_interior])[0]
+    return np.concatenate([x, np.zeros(space.n_dofs_total - len(x))])
 
 
 class IterationOperators:
@@ -46,8 +46,10 @@ class IterationOperators:
 
     Holds the fine stiffness/lower-order/load triple, the coarse full
     operator (assembled directly on the coarse space, not projected), the
-    prolongation between them, and ready factorizations of both reduced
-    matrices.
+    prolongation between them, and ready factorizations of both interior
+    blocks.  The interior DOFs lead each space's numbering, so an interior
+    block is the leading block of a matrix and an interior right-hand side
+    the leading entries of a vector.
     """
 
     def __init__(self, spec: ProblemSpec, coarse: FeSpace, fine: FeSpace,
@@ -70,11 +72,11 @@ class IterationOperators:
         A_coarse = assemble_stiffness(coarse, spec)
         N_coarse = assemble_nonsym(coarse, spec)
 
-        self.fine_interior = fine.interior_dofs
         self.coarse_interior = coarse.interior_dofs
 
-        self._solve_fine_spd = make_factor(interior_block(self.A_fine, fine), solver)
-        self._solve_coarse = make_factor(interior_block(A_coarse + N_coarse, coarse), solver)
+        nf, nc = fine.n_interior, coarse.n_interior
+        self._solve_fine_spd = make_factor(self.A_fine[:nf, :nf], solver)
+        self._solve_coarse = make_factor((A_coarse + N_coarse)[:nc, :nc], solver)
 
     def fine_operator_apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the full fine operator A + Npart."""
@@ -85,25 +87,19 @@ class IterationOperators:
         restricted fine residual.  Returns a full-length coarse vector that is
         zero on the boundary."""
         residual = self.F_fine - self.fine_operator_apply(u)
-        rhs = (self.prolong.T @ residual)[self.coarse_interior]
-        e = np.zeros(self.coarse.n_dofs_total)
-        e[self.coarse_interior] = self._solve_coarse(rhs)[0]
-        return e
+        return _interior_solve(self._solve_coarse, self.prolong.T @ residual, self.coarse)
 
     def update(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
         """SPD update step: shift the lower-order terms of u + e to the load
         side and solve the fine stiffness system."""
-        shifted = u + self.prolong @ e
-        rhs = (self.F_fine - self.N_fine @ shifted)[self.fine_interior]
-        new = np.zeros(self.fine.n_dofs_total)
-        new[self.fine_interior] = self._solve_fine_spd(rhs)[0]
-        return new
+        rhs = self.F_fine - self.N_fine @ (u + self.prolong @ e)
+        return _interior_solve(self._solve_fine_spd, rhs, self.fine)
 
     def fine_residual(self, u: np.ndarray) -> float:
         """Relative residual of the full fine system at the iterate u."""
-        fi = self.fine_interior
-        r = (self.F_fine - self.fine_operator_apply(u))[fi]
-        norm_f = np.linalg.norm(self.F_fine[fi])
+        n = self.fine.n_interior
+        r = (self.F_fine - self.fine_operator_apply(u))[:n]
+        norm_f = np.linalg.norm(self.F_fine[:n])
         return float(np.linalg.norm(r) / norm_f) if norm_f > 0 else float(np.linalg.norm(r))
 
 
@@ -117,7 +113,6 @@ def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
         e = ops.correction(u)
         u = ops.update(u, e)
         state.current = u
-        state.iteration += 1
         state.residual_history.append(ops.fine_residual(u))
     return state
 
@@ -125,11 +120,9 @@ def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:
     """Solve the full discretization on one space; coefficients include the
     zero boundary values."""
-    K = interior_block(assemble_stiffness(space, spec) + assemble_nonsym(space, spec), space)
-    F = assemble_load(space, spec.f)
-    u = np.zeros(space.n_dofs_total)
-    u[space.interior_dofs] = make_factor(K, solver)(F[space.interior_dofs])[0]
-    return u
+    n = space.n_interior
+    K = (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
+    return _interior_solve(make_factor(K, solver), assemble_load(space, spec.f), space)
 
 
 def two_level_iterate(spec: ProblemSpec, coarse_degree: int, fine_degree: int,

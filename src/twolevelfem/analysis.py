@@ -43,6 +43,11 @@ def _h1_squared(space: FeSpace, coefficients: np.ndarray, quad: QuadratureRule,
                 exact_grad_u: Optional[Callable] = None) -> float:
     """Integral of (u_h - u)^2 + |grad u_h - grad u|^2 by `quad`, block by
     block, with u = 0 when no exact solution is given."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (space.n_dofs_total,):
+        raise ValueError(
+            f"expected {space.n_dofs_total} coefficients, got shape {coefficients.shape}"
+        )
     vals, ref_grads = tabulate_basis(space.element, quad.points)
     total = 0.0
     for block, pts, wdet, inv in element_blocks(space, quad):
@@ -63,7 +68,6 @@ def h1_error(space: FeSpace, coefficients: np.ndarray, exact_u: Callable,
     `exact_grad_u(x, y)` must return the gradient with the component axis
     last.
     """
-    coefficients = np.asarray(coefficients, dtype=float)
     quad = error_quadrature(space.degree)
     return float(np.sqrt(_h1_squared(space, coefficients, quad, exact_u, exact_grad_u)))
 
@@ -76,12 +80,7 @@ def h1_norm_discrete(space: FeSpace, coefficients) -> float:
     H1 norm of the piecewise polynomial, with no quadrature-of-the-exact-
     solution error.
     """
-    c = np.asarray(coefficients, dtype=float)
-    if c.shape != (space.n_dofs_total,):
-        raise ValueError(
-            f"expected {space.n_dofs_total} coefficients, got shape {c.shape}"
-        )
-    return float(np.sqrt(_h1_squared(space, c, build_quadrature(2 * space.degree))))
+    return float(np.sqrt(_h1_squared(space, coefficients, build_quadrature(2 * space.degree))))
 
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:

@@ -131,14 +131,3 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
                        minlength=space.n_dofs_total)
 
-
-def interior_block(matrix: sp.spmatrix, space: FeSpace) -> sp.csr_matrix:
-    """Rows and columns of the interior DOFs of `space`, in the elimination
-    order of `space.interior_dofs`, which the factor keeps.
-
-    This is the elimination of a homogeneous Dirichlet condition: the
-    dropped columns multiply zero boundary values, so right-hand sides only
-    need restricting to the same DOFs.
-    """
-    interior = space.interior_dofs
-    return matrix.tocsr()[interior, :][:, interior].tocsr()

@@ -6,7 +6,7 @@ orientation is the slope -1 diagonal ("down"); the slope +1 alternative
 ("up") is available through the `diagonal` argument.  This module is the one
 owner of that split and of the geometry it implies: the triangles (only
 `build_structured_mesh` knows their vertex order), the numbering of lattice
-points that vertices and DOFs share (`lattice`), each triangle's affine map
+points that vertices and DOF maps share (`lattice`), each triangle's affine map
 from the reference triangle (`Mesh.affine`, computed once per mesh and read
 by assembly and the H1 norms), and point location (`locate_points`, which
 inverts those maps).  Spaces derive their DOF maps from `Mesh.triangles`.

@@ -7,9 +7,10 @@ certified refinement loop, `_certified`, around an inner solve: SuperLU
 
 SuperLU factors each matrix in the order given, with partial pivoting, which
 keeps the one factorization safe for the nonsymmetric, possibly indefinite
-coarse operators.  The spaces hand over their interior blocks in elimination
-order (`FeSpace.interior_dofs`); a caller of `make_factor` on a matrix of
-their own owns its order.  Refinement runs while the relative residual is
+coarse operators.  The spaces number their interior DOFs first and in
+elimination order (`space.build_space`), so the leading block of an assembled
+matrix comes ready to factor; a caller of `make_factor` on a matrix of their
+own owns its order.  Refinement runs while the relative residual is
 above both the tolerance and the floor float64 evaluation of the residual can
 certify (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 1989), so no inner
 solve is spent below what the arithmetic can confirm.

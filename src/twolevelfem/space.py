@@ -1,18 +1,19 @@
 """Continuous Lagrange finite element spaces with zero boundary trace.
 
 Degrees of freedom of the degree-l space on an M-subdivision mesh live on the
-global lattice of spacing 1/(l*M), numbered lexicographically by (y, x) just
-like mesh vertices (`mesh.lattice`).  The DOF map follows `mesh.triangles`
-by integer arithmetic on vertex numbers, so it holds for any vertex order the
-mesh chooses.  Spaces on the same mesh (or on nested meshes) share lattice
-points exactly, so a prolongation is one reference table read through it.
-The interior DOFs are listed in the order a sparse LU eliminates them.
+global lattice of spacing 1/(l*M), whose points are numbered lexicographically
+by (y, x) just like mesh vertices (`mesh.lattice`).  The DOF map follows
+`mesh.triangles` by integer arithmetic on lattice numbers, so it holds for any
+vertex order the mesh chooses.  Spaces on the same mesh (or on nested meshes)
+share lattice points exactly, so a prolongation is one reference table read
+through it.  DOFs are numbered in the order a sparse LU eliminates them: the
+interior points first, so every interior (Dirichlet) block is a leading block
+ready to factor, then the boundary points (`FeSpace.numbering`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,20 +66,23 @@ class FeSpace:
     n_dofs_total: int
     dof_coordinates: np.ndarray  # (n_dofs_total, 2)
     cell_to_dofs: np.ndarray     # (n_triangles, n_local) global DOF per local node
-    boundary_dofs: np.ndarray    # sorted indices of DOFs on the boundary
+    numbering: np.ndarray        # (n_dofs_total,) DOF of each lattice point
     element: ReferenceElement
 
-    @cached_property
+    @property
+    def n_interior(self) -> int:
+        """Number of DOFs off the boundary, which lead the numbering."""
+        return (self.degree * self.mesh.M - 1) ** 2
+
+    @property
     def interior_dofs(self) -> np.ndarray:
-        """The DOFs off the boundary in elimination order, so SuperLU factors
-        the interior block as it comes.  First each triangle's bubble nodes,
-        triangle by triangle: they couple only inside their triangle, so
-        eliminating them adds no fill outside it (static condensation).  Then
-        the rest by nested dissection of the M x M cells (George, SIAM J.
-        Numer. Anal. 1973): cut along the mesh line x = c/M or y = c/M across
-        the longer side, number the cut after both halves, and recurse down
-        to single cells, which hold the inner nodes of their diagonal."""
-        return _elimination_order(self)
+        """The DOFs off the boundary: 0..n_interior-1."""
+        return np.arange(self.n_interior)
+
+    @property
+    def boundary_dofs(self) -> np.ndarray:
+        """The DOFs on the boundary, after the interior ones."""
+        return np.arange(self.n_interior, self.n_dofs_total)
 
 
 def dof_count(M: int, degree: int) -> int:
@@ -102,16 +106,24 @@ def _lattice_dofs(mesh: Mesh, degree: int) -> np.ndarray:
     return (j * (n + 1) + i) @ np.stack([degree - p - q, p, q])
 
 
-def _elimination_order(space: FeSpace) -> np.ndarray:
-    """`FeSpace.interior_dofs`.  A region's order is a translated copy of the
-    order of any region of its shape, and bisection makes at most two widths
-    and two heights per level, so each shape is built once, from its halves.
+def _elimination_order(mesh: Mesh, degree: int, lattice_dofs: np.ndarray) -> np.ndarray:
+    """The lattice points off the boundary in the order SuperLU eliminates
+    them, given each triangle's lattice points `lattice_dofs`.  First each
+    triangle's bubble nodes, triangle by triangle: they couple only inside
+    their triangle, so eliminating them adds no fill outside it (static
+    condensation).  Then the rest by nested dissection of the M x M cells
+    (George, SIAM J. Numer. Anal. 1973): cut along the mesh line x = c/M or
+    y = c/M across the longer side, number the cut after both halves, and
+    recurse down to single cells, which hold the inner nodes of their
+    diagonal.  A region's order is a translated copy of the order of any
+    region of its shape, and bisection makes at most two widths and two
+    heights per level, so each shape is built once, from its halves.
     Offsets are int32, exact below (6 * 4096 + 1)**2 < 2**31."""
-    d, M = space.degree, space.mesh.M
+    d, M = degree, mesh.M
     p, q = lattice_nodes(d).T
     row = d * M + 1  # lattice points per row
     t = np.arange(1, d, dtype=np.int32)
-    shapes = {(1, 1): t * row + (t if space.mesh.diagonal == "up" else d - t)}
+    shapes = {(1, 1): t * row + (t if mesh.diagonal == "up" else d - t)}
 
     def region(w, h):
         """The inner nodes of a w x h cell region that are not bubbles, in
@@ -127,21 +139,27 @@ def _elimination_order(space: FeSpace) -> np.ndarray:
                 shapes[w, h] = np.concatenate([region(w, c), region(w, h - c) + c * d * row, cut])
         return shapes[w, h]
 
-    bubbles = space.cell_to_dofs[:, (p > 0) & (q > 0) & (p + q < d)]
+    bubbles = lattice_dofs[:, (p > 0) & (q > 0) & (p + q < d)]
     return np.concatenate([bubbles.ravel(), region(M, M)])
 
 
 def build_space(mesh: Mesh, degree: int) -> FeSpace:
-    """Build the degree-`degree` Lagrange space on `mesh`."""
+    """Build the degree-`degree` Lagrange space on `mesh`, its DOFs numbered
+    interior lattice points first, in elimination order, then boundary ones."""
     element = build_reference_element(degree)
-    dof_coordinates, on_boundary = lattice(degree * mesh.M)
+    coordinates, on_boundary = lattice(degree * mesh.M)
+    lattice_dofs = _lattice_dofs(mesh, degree)
+    points = np.concatenate([_elimination_order(mesh, degree, lattice_dofs),
+                             np.flatnonzero(on_boundary)])
+    numbering = np.empty_like(points)
+    numbering[points] = np.arange(len(points))
     return FeSpace(
         mesh=mesh,
         degree=degree,
-        n_dofs_total=len(dof_coordinates),
-        dof_coordinates=dof_coordinates,
-        cell_to_dofs=_lattice_dofs(mesh, degree),
-        boundary_dofs=np.flatnonzero(on_boundary),
+        n_dofs_total=len(points),
+        dof_coordinates=coordinates.take(points, axis=0),  # 10x faster than [points] here
+        cell_to_dofs=numbering[lattice_dofs],
+        numbering=numbering,
         element=element,
     )
 
@@ -214,7 +232,7 @@ def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
     values, _ = tabulate_basis(source.element, lattice_nodes(D) / D)  # (n_nodes, n_local)
     # A target DOF on several triangles takes the row of its first one.
     n_nodes, n_local = values.shape
-    first = np.unique(_lattice_dofs(source.mesh, D), return_index=True)[1]
+    first = np.unique(target.numbering[_lattice_dofs(source.mesh, D)], return_index=True)[1]
     triangle, node = np.divmod(first, n_nodes)
     data = values[node].ravel()
     data[np.abs(data) <= _DROP_TOL] = 0.0

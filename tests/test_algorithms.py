@@ -161,7 +161,6 @@ def test_iteration_state_bookkeeping():
     problem = example_1()
     mesh = build_structured_mesh(3)
     state = two_level_iterate(problem, 1, 3, mesh, k=3)
-    assert state.iteration == 3
     assert len(state.residual_history) == 3
     assert all(np.isfinite(r) for r in state.residual_history)
     assert state.residual_history[-1] <= state.residual_history[0]

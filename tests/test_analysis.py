@@ -113,6 +113,10 @@ def test_h1_distance_properties():
     )
     with pytest.raises(ValueError):
         h1_norm_discrete(space, np.zeros(3))
+    problem = example_2()
+    for wrong in (space.n_dofs_total + 2, space.n_dofs_total - 3):
+        with pytest.raises(ValueError):
+            h1_error(space, np.zeros(wrong), problem.exact_u, problem.exact_grad_u)
 
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
@@ -139,7 +143,9 @@ def test_norms_on_a_mesh_where_every_jacobian_differs():
     assert len(np.unique(jacobians, axis=0)) == mesh.n_triangles
 
     space = build_space(mesh, 1)
-    c = vertices[:, 0] + 2.0 * vertices[:, 1]        # P1 DOFs are the vertices
+    c = np.empty(space.n_dofs_total)
+    # P1 lattice points are the vertices; numbering gives each one's DOF.
+    c[space.numbering] = vertices[:, 0] + 2.0 * vertices[:, 1]
     assert c @ assemble_stiffness(space, UNIT) @ c == pytest.approx(5.0, rel=1e-12)
     assert h1_norm_discrete(space, c) ** 2 == pytest.approx(5.0 + 8.0 / 3.0, rel=1e-12)
 

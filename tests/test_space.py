@@ -85,13 +85,16 @@ def test_unit_cell_space_all_boundary():
 
 
 def lattice_order(space):
-    """The elimination order of `interior_dofs`, written as a recursion:
-    each triangle's bubble nodes, then the skeleton of the cell grid by
-    nested dissection along mesh lines, each separator after both halves."""
+    """The elimination order of the interior lattice points, as lattice
+    numbers, written as a recursion: each triangle's bubble nodes, then the
+    skeleton of the cell grid by nested dissection along mesh lines, each
+    separator after both halves."""
     d, M = space.degree, space.mesh.M
     n = d * M
     bubble = [p > 0 and q > 0 and p + q < d for p, q in lattice_nodes(d)]
-    bubbles = [dof for dofs in space.cell_to_dofs for dof, b in zip(dofs, bubble) if b]
+    # The lattice number of each DOF, read off its coordinates.
+    number = np.rint(space.dof_coordinates * n).astype(np.int64) @ np.array([1, n + 1])
+    bubbles = [number[dof] for dofs in space.cell_to_dofs for dof, b in zip(dofs, bubble) if b]
 
     def point(i, j):
         return j * (n + 1) + i
@@ -121,20 +124,25 @@ def lattice_order(space):
 @example("standard", "up", 13, 1)        # no bubbles, no diagonal nodes
 @example("rotated", "down", 13, 6)
 def test_interior_dofs_are_the_lattice_elimination_order(kind, diagonal, M, degree):
-    """interior_dofs is a permutation of the lattice points off the
-    boundary; its first 2 M^2 (d-1)(d-2)/2 entries are the points strictly
-    inside the triangles, triangle by triangle; and it equals the recursion."""
+    """The DOFs number the lattice points (DOF numbering[j] sits at lattice
+    point j), those off the boundary first: interior_dofs is 0..n_int-1 and
+    boundary_dofs the rest.  The first 2 M^2 (d-1)(d-2)/2 DOFs are the points
+    strictly inside the triangles, triangle by triangle, and the interior
+    lattice points in DOF order equal the recursion."""
     space = build_space(MESHES[kind](M, diagonal), degree)
-    order = space.interior_dofs
+    n, n_int = space.n_dofs_total, (degree * M - 1) ** 2
+    assert np.array_equal(space.interior_dofs, np.arange(n_int))
+    assert np.array_equal(space.boundary_dofs, np.arange(n_int, n))
     coords = space.dof_coordinates
-    inside = np.flatnonzero(((coords > 0.0) & (coords < 1.0)).all(axis=1))
-    assert np.array_equal(np.sort(order), inside)
+    assert np.array_equal(coords[space.numbering], lattice(degree * M)[0])
+    inside = ((coords > 0.0) & (coords < 1.0)).all(axis=1)
+    assert inside[:n_int].all() and not inside[n_int:].any()
     per_triangle = (degree - 1) * (degree - 2) // 2
-    bubbles = order[:space.mesh.n_triangles * per_triangle].reshape(space.mesh.n_triangles, -1)
+    bubbles = np.arange(space.mesh.n_triangles * per_triangle).reshape(space.mesh.n_triangles, -1)
     v0, _, _, inv = space.mesh.affine
     ref = np.einsum("tab,tnb->tna", inv, coords[bubbles] - v0[:, None])
     assert np.all(ref > 1e-12) and np.all(ref.sum(axis=2) < 1.0 - 1e-12)
-    assert np.array_equal(order, lattice_order(space))
+    assert np.array_equal(np.argsort(space.numbering)[:n_int], lattice_order(space))
 
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
