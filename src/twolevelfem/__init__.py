@@ -51,7 +51,6 @@ from .space import (
     build_prolongation,
     build_space,
     dof_count,
-    evaluate,
     interpolate,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "build_structured_mesh",
     "dof_count",
     "estimate_orders",
-    "evaluate",
     "example_1",
     "example_2",
     "galerkin_solve",

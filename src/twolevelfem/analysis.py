@@ -38,16 +38,22 @@ def error_quadrature(degree: int) -> QuadratureRule:
     return build_quadrature(2 * degree + 6)
 
 
-def _h1_squared(space: FeSpace, coefficients: np.ndarray, quad: QuadratureRule,
-                exact_u: Optional[Callable] = None,
-                exact_grad_u: Optional[Callable] = None) -> float:
-    """Integral of (u_h - u)^2 + |grad u_h - grad u|^2 by `quad`, block by
-    block, with u = 0 when no exact solution is given."""
+def _coefficients(space: FeSpace, coefficients) -> np.ndarray:
+    """`coefficients` as a float vector, one entry per DOF of `space`."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (space.n_dofs_total,):
         raise ValueError(
             f"expected {space.n_dofs_total} coefficients, got shape {coefficients.shape}"
         )
+    return coefficients
+
+
+def _h1_squared(space: FeSpace, coefficients: np.ndarray, quad: QuadratureRule,
+                exact_u: Optional[Callable] = None,
+                exact_grad_u: Optional[Callable] = None) -> float:
+    """Integral of (u_h - u)^2 + |grad u_h - grad u|^2 by `quad`, block by
+    block, with u = 0 when no exact solution is given."""
+    coefficients = _coefficients(space, coefficients)
     vals, ref_grads = tabulate_basis(space.element, quad.points)
     total = 0.0
     for block, pts, wdet, inv in element_blocks(space, quad):
@@ -85,7 +91,8 @@ def h1_norm_discrete(space: FeSpace, coefficients) -> float:
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:
     """H1 distance between two members of the same space."""
-    return h1_norm_discrete(space, np.subtract(coefficients_a, coefficients_b, dtype=float))
+    return h1_norm_discrete(
+        space, _coefficients(space, coefficients_a) - _coefficients(space, coefficients_b))
 
 
 def estimate_orders(rows: list[ExperimentRow]) -> tuple[list[float], float]:

@@ -61,11 +61,12 @@ def lattice_nodes(degree: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would hit the entry of np.int64(3)
 def build_reference_element(degree: int) -> ReferenceElement:
     """Build (or fetch from cache) the degree-`degree` Lagrange element."""
-    if not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
+    if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"polynomial degree must be in [1, {MAX_DEGREE}], got {degree!r}")
+    degree = int(degree)
 
     powers = lattice_nodes(degree)
     nodes = powers / degree
@@ -107,7 +108,7 @@ class QuadratureRule:
     exact_degree: int    # every polynomial of this total degree integrates exactly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would hit the entry of np.int64(3)
 def build_quadrature(min_exact_degree: int) -> QuadratureRule:
     """Build a triangle rule exact at least to the requested total degree.
 
@@ -116,11 +117,11 @@ def build_quadrature(min_exact_degree: int) -> QuadratureRule:
     the eta-degree of the integrand by one; the per-axis point count
     ceil((d+2)/2) covers that, plus one extra point of margin.
     """
-    if not isinstance(min_exact_degree, int) or min_exact_degree < 1:
+    if not isinstance(min_exact_degree, (int, np.integer)) or min_exact_degree < 1:
         raise ValueError(
             f"requested exactness degree must be a positive integer, got {min_exact_degree!r}"
         )
-    n = (min_exact_degree + 3) // 2 + 1
+    n = (int(min_exact_degree) + 3) // 2 + 1
     t, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w

@@ -8,10 +8,9 @@ owner of that split and of the geometry it implies: the triangles (only
 `build_structured_mesh` knows their vertex order), the numbering of lattice
 points that vertices and DOF maps share (`lattice`), each triangle's affine map
 from the reference triangle (`Mesh.affine`, computed once per mesh and read
-by assembly and the H1 norms), and point location (`locate_points`, which
-inverts those maps).  Spaces derive their DOF maps from `Mesh.triangles`.
-Meshes are immutable and safe to share across threads; a refined mesh never
-mutates the mesh it came from.
+by assembly and the H1 norms).  Spaces derive their DOF maps from
+`Mesh.triangles`.  Meshes are immutable and safe to share across threads; a
+refined mesh never mutates the mesh it came from.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from functools import cached_property
 import numpy as np
 
 MAX_SUBDIVISIONS = 4096
-
-_SLACK = 1e-12  # roundoff allowed at cell diagonals and the square's boundary
 
 
 class MeshSizeError(ValueError):
@@ -49,7 +46,6 @@ class Mesh:
     M: int
     vertices: np.ndarray             # (n_vertices, 2) float
     triangles: np.ndarray            # (n_triangles, 3) int, counterclockwise
-    boundary_vertex_flags: np.ndarray  # (n_vertices,) bool
     diagonal: str = "down"           # "down" (slope -1) or "up" (slope +1)
 
     @property
@@ -66,19 +62,10 @@ class Mesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def _edge_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        return np.unique(pairs, axis=0, return_counts=True)
-
-    @cached_property
     def edges(self) -> np.ndarray:
         """(n_edges, 2) int vertex pairs, each pair sorted."""
-        return self._edge_counts[0]
-
-    @cached_property
-    def boundary_edge_flags(self) -> np.ndarray:
-        """(n_edges,) bool: the edges of only one triangle."""
-        return self._edge_counts[1] == 1
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        return np.unique(pairs, axis=0)
 
     @property
     def n_edges(self) -> int:
@@ -133,7 +120,7 @@ def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
         raise ValueError(f"diagonal must be 'down' or 'up', got {diagonal!r}")
     M = int(M)
 
-    vertices, boundary_vertex_flags = lattice(M)
+    vertices, _ = lattice(M)
 
     idx = np.arange((M + 1) * (M + 1), dtype=np.int64).reshape(M + 1, M + 1)
     ll = idx[:-1, :-1].ravel()
@@ -149,13 +136,7 @@ def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
         triangles[0::2] = np.column_stack([ll, lr, ur])  # lower-right triangle
         triangles[1::2] = np.column_stack([ll, ur, ul])  # upper-left triangle
 
-    return Mesh(
-        M=M,
-        vertices=vertices,
-        triangles=triangles,
-        boundary_vertex_flags=boundary_vertex_flags,
-        diagonal=diagonal,
-    )
+    return Mesh(M=M, vertices=vertices, triangles=triangles, diagonal=diagonal)
 
 
 def refine_nested(coarse: Mesh, r: int) -> Mesh:
@@ -167,33 +148,3 @@ def refine_nested(coarse: Mesh, r: int) -> Mesh:
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"refinement factor must be a positive integer, got {r!r}")
     return build_structured_mesh(coarse.M * int(r), diagonal=coarse.diagonal)
-
-
-def locate_points(mesh: Mesh, points: np.ndarray):
-    """Find the mesh triangle containing each point, with reference coords.
-
-    `points` is an (n, 2) array of (x, y).  The reference coordinates
-    (xi, eta) are those of the triangle's own vertex order in
-    `mesh.triangles`.  Points on shared edges are assigned to one of the
-    adjacent triangles; continuity of the spaces makes the choice irrelevant
-    for evaluation.  A wrongly shaped `points`, a non-finite point, or one
-    outside the closed unit square by more than roundoff, raises ValueError.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    outside = ~np.all((pts >= -_SLACK) & (pts <= 1.0 + _SLACK), axis=1)
-    if outside.any():
-        x, y = pts[np.argmax(outside)].tolist()
-        raise ValueError(f"point ({x!r}, {y!r}) is not in the closed unit square")
-    M = mesh.M
-    ci, cj = np.clip(np.floor(pts * M).astype(np.int64), 0, M - 1).T
-    # Cell c is split into triangles 2c and 2c+1: map the point into both
-    # and keep the one where its smallest barycentric coordinate is largest.
-    v0, _, _, inv = mesh.affine
-    pair = 2 * (cj * M + ci)[:, None] + np.arange(2)                   # (n, 2)
-    ref = np.einsum("ntab,ntb->nta", inv[pair], pts[:, None] - v0[pair])
-    inside = np.minimum(ref.min(axis=2), 1.0 - ref.sum(axis=2))
-    best = np.argmax(inside, axis=1)
-    rows = np.arange(len(pts))
-    return pair[rows, best], ref[rows, best]

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .element import MAX_DEGREE, ReferenceElement, build_reference_element, lattice_nodes
 from .element import tabulate_basis
-from .mesh import Mesh, lattice, locate_points
+from .mesh import Mesh, lattice
 
 # Basis values this small at a lattice point are roundoff from the nodal
 # construction, not genuine couplings; dropping them keeps prolongation
@@ -171,19 +171,6 @@ def interpolate(space: FeSpace, g) -> np.ndarray:
     a non-finite value raises CoefficientError naming exact_u.
     """
     return checked_field(g, space.dof_coordinates, (space.n_dofs_total,), "exact_u").copy()
-
-
-def evaluate(space: FeSpace, coefficients: np.ndarray, points) -> np.ndarray:
-    """Evaluate the finite element function at arbitrary physical points."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (space.n_dofs_total,):
-        raise ValueError(
-            f"expected {space.n_dofs_total} coefficients, got shape {coefficients.shape}"
-        )
-    cell_index, ref = locate_points(space.mesh, points)
-    values, _ = tabulate_basis(space.element, ref)
-    local = coefficients[space.cell_to_dofs[cell_index]]
-    return np.einsum("pi,pi->p", values, local)
 
 
 @dataclass(frozen=True, eq=False)

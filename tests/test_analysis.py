@@ -20,6 +20,7 @@ from twolevelfem import (
     interpolate,
     time_run,
 )
+from twolevelfem.mesh import lattice
 from twolevelfem.problems import example_1, example_2
 
 # H1 norm of sin(pi x) sin(pi y): integral of u^2 is 1/4, of |grad u|^2 is
@@ -113,6 +114,11 @@ def test_h1_distance_properties():
     )
     with pytest.raises(ValueError):
         h1_norm_discrete(space, np.zeros(3))
+    # A wrong length in either argument is refused, not broadcast.
+    for wrong in ([5.0], 0.0, np.zeros(3)):
+        for args in ((a, wrong), (wrong, a)):
+            with pytest.raises(ValueError, match=f"expected {space.n_dofs_total} coefficients"):
+                h1_distance(space, *args)
     problem = example_2()
     for wrong in (space.n_dofs_total + 2, space.n_dofs_total - 3):
         with pytest.raises(ValueError):
@@ -137,7 +143,7 @@ def test_norms_on_a_mesh_where_every_jacobian_differs():
     M = 6
     mesh = build_structured_mesh(M)
     jitter = np.random.default_rng(5).uniform(-0.2 / M, 0.2 / M, mesh.vertices.shape)
-    vertices = mesh.vertices + jitter * ~mesh.boundary_vertex_flags[:, None]
+    vertices = mesh.vertices + jitter * ~lattice(mesh.M)[1][:, None]
     mesh = dataclasses.replace(mesh, vertices=vertices)
     jacobians = mesh.affine[1].reshape(-1, 4)
     assert len(np.unique(jacobians, axis=0)) == mesh.n_triangles

