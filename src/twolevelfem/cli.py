@@ -23,22 +23,25 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Optional, Union
 
 from .algorithms import IterationOperators, galerkin_solve, run_correction_iteration
 from .analysis import ExperimentRow, h1_distance, h1_error, time_run
 from .assembly import ProblemSpec
-from .element import MAX_DEGREE
 from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
 from .solver import SolverError
 from .space import CoefficientError, build_space, dof_count, interpolate
 
-CSV_COLUMNS = [
-    "M", "H", "l", "s_or_r", "k",
-    "dofs_coarse", "dofs_fine", "h1_error", "scaled_error", "cpu_seconds",
-]
+CSV_COLUMNS = [field.name for field in fields(ExperimentRow) if field.name != "failed"]
+CHOICES = {   # the fixed values of RunConfig fields, and of their flags
+    "algorithm": ("galerkin", "two-grid", "two-level"),
+    "solver": ("direct", "iterative"),
+    "mesh_diagonal": ("down", "up"),
+    "error_against": ("interpolant", "exact"),
+}
 
 POOL_SIZE = min(4, os.cpu_count() or 1)   # rows computed at once under --parallel
 MAX_ROUNDS = 1000   # even a contraction of 0.97 per round reaches 1e-13 within it
@@ -67,47 +70,37 @@ class RunConfig:
     error_against: str = "interpolant"
 
     def __post_init__(self):
-        if self.algorithm not in ("galerkin", "two-grid", "two-level"):
-            raise UsageError(f"unknown algorithm {self.algorithm!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise UsageError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
         if not self.M_list:
             raise UsageError("at least one mesh size M is required")
-        if any(not 1 <= M <= MAX_SUBDIVISIONS for M in self.M_list):
+        if self.algorithm != "galerkin" and not (isinstance(self.k, Integral)
+                                                 and 1 <= self.k <= MAX_ROUNDS):
             raise UsageError(
-                f"mesh sizes must be in [1, {MAX_SUBDIVISIONS}], got {list(self.M_list)}"
-            )
-        if self.solver not in ("direct", "iterative"):
-            raise UsageError(f"unknown solver choice {self.solver!r}")
-        if self.mesh_diagonal not in ("down", "up"):
-            raise UsageError(f"mesh diagonal must be 'down' or 'up', got {self.mesh_diagonal!r}")
-        if self.error_against not in ("interpolant", "exact"):
+                f"iteration count must be an integer in [1, {MAX_ROUNDS}], got {self.k!r}")
+        if self.algorithm == "two-level" and self.s is None:
+            raise UsageError("two-level runs need --s (fine degree)")
+        # 'square' refines by r = M, which leaves M = 1 unrefined.
+        if self.algorithm == "two-grid" and (
+                not (self.fine_factor == "square" or isinstance(self.fine_factor, Integral))
+                or min(map(self.resolved_fine_factor, self.M_list)) < 2):
             raise UsageError(
-                f"error reference must be 'interpolant' or 'exact', got {self.error_against!r}"
+                f"two-grid refinement factor must be >= 2 or 'square' with "
+                f"every M >= 2, got {self.fine_factor!r} for M = {list(self.M_list)}"
             )
-        if not 1 <= self.l <= MAX_DEGREE:
-            raise UsageError(f"degree l must be in [1, {MAX_DEGREE}], got {self.l}")
-        if self.algorithm != "galerkin" and not 1 <= self.k <= MAX_ROUNDS:
-            raise UsageError(f"iteration count must be in [1, {MAX_ROUNDS}], got {self.k}")
-        if self.algorithm == "two-level":
-            if self.s is None:
-                raise UsageError("two-level runs need --s (fine degree)")
-            if not self.l + 1 <= self.s <= MAX_DEGREE:
-                raise UsageError(
-                    f"fine degree must be in [{self.l + 1}, {MAX_DEGREE}], got {self.s}"
-                )
-        elif self.algorithm == "two-grid":
-            # 'square' refines by r = M, which leaves M = 1 unrefined.
-            if not (self.fine_factor == "square" or isinstance(self.fine_factor, int)) \
-                    or min(map(self.resolved_fine_factor, self.M_list)) < 2:
-                raise UsageError(
-                    f"two-grid refinement factor must be >= 2 or 'square' with "
-                    f"every M >= 2, got {self.fine_factor!r} for M = {list(self.M_list)}"
-                )
-            fine_M = [M * self.resolved_fine_factor(M) for M in self.M_list]
-            if max(fine_M) > MAX_SUBDIVISIONS:
-                raise UsageError(
-                    f"two-grid fine meshes must have at most {MAX_SUBDIVISIONS} "
-                    f"subdivisions, got {fine_M}"
-                )
+        for M in self.M_list:
+            for p, m in self.spaces(M):
+                try:
+                    dof_count(m, p)
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from None
+                if m > MAX_SUBDIVISIONS:
+                    raise UsageError(f"the row at M = {M} needs a mesh of {m} subdivisions, "
+                                     f"more than {MAX_SUBDIVISIONS}")
+        if self.algorithm == "two-level" and self.s <= self.l:
+            raise UsageError(f"fine degree s must exceed l = {self.l}, got {self.s}")
         p = self.resolved_scale_exponent()
         try:
             in_range = float(max(self.M_list)) ** p >= sys.float_info.min
@@ -123,19 +116,23 @@ class RunConfig:
         """The two-grid refinement factor for coarse mesh size M."""
         return M if self.fine_factor == "square" else int(self.fine_factor)
 
+    def spaces(self, M: int) -> list[tuple[int, int]]:
+        """(degree, subdivisions) of each space the row at M builds: the
+        coarse space, then the fine one unless the row is a Galerkin row."""
+        if self.algorithm == "galerkin":
+            return [(self.l, M)]
+        if self.algorithm == "two-level":
+            return [(self.l, M), (self.s, M)]
+        return [(self.l, M), (self.l, M * self.resolved_fine_factor(M))]
+
     def row_bytes(self, M: int) -> float:
         """Peak memory of the row at M, above that of 14 measured rows (P1-P6,
         up to 187,489 DOFs): in each space the row assembles and factors, L+U
         holds at most 16 n^0.2 entries per DOF, at 20 bytes each while SuperLU
         factors (12 stored, the rest its work arrays and the matrix copies),
         and assembly's COO buffers take 24 bytes per local entry."""
-        spaces = [(self.l, M)]
-        if self.algorithm == "two-level":
-            spaces.append((self.s, M))
-        elif self.algorithm == "two-grid":
-            spaces.append((self.l, M * self.resolved_fine_factor(M)))
         return sum(20 * 16 * dof_count(m, p) ** 1.2
-                   + 24 * 2 * m * m * ((p + 1) * (p + 2) // 2) ** 2 for p, m in spaces)
+                   + 24 * 2 * m * m * ((p + 1) * (p + 2) // 2) ** 2 for p, m in self.spaces(M))
 
     def resolved_scale_exponent(self) -> int:
         if self.scale_exponent is not None:
@@ -150,26 +147,19 @@ class RunConfig:
 def _run_single(problem: ProblemSpec, config: RunConfig, M: int) -> ExperimentRow:
     """One table row; `procedure` is what cpu_seconds times."""
     mesh = build_structured_mesh(M, diagonal=config.mesh_diagonal)
-    coarse = build_space(mesh, config.l)
+    spaces = [build_space(refine_nested(mesh, m // M) if m > M else mesh, p)
+              for p, m in config.spaces(M)]
+    coarse, fine_space = spaces[0], spaces[-1]
+    s_or_r = fine_space.mesh.M // M if fine_space.mesh.M > M else fine_space.degree
 
-    if config.algorithm == "galerkin":
-        fine_space, s_or_r, k = coarse, config.l, 0
+    galerkin = config.algorithm == "galerkin"
+    k = 0 if galerkin else config.k
 
-        def procedure():
+    def procedure():
+        if galerkin:
             return galerkin_solve(coarse, problem, solver=config.solver)
-
-    else:
-        if config.algorithm == "two-level":
-            s_or_r = config.s
-            fine_space = build_space(mesh, config.s)
-        else:
-            s_or_r = config.resolved_fine_factor(M)
-            fine_space = build_space(refine_nested(mesh, s_or_r), config.l)
-        k = config.k
-
-        def procedure():
-            ops = IterationOperators(problem, coarse, fine_space, solver=config.solver)
-            return run_correction_iteration(ops, k).current
+        ops = IterationOperators(problem, coarse, fine_space, solver=config.solver)
+        return run_correction_iteration(ops, k).current
 
     try:
         coefficients, seconds = time_run(procedure)
@@ -248,12 +238,8 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
     degrees = list(degrees)
     if not degrees:
         raise UsageError("at least one degree is required")
-    if any(not 1 <= d <= MAX_DEGREE for d in degrees):
-        raise UsageError(f"degrees must be in [1, {MAX_DEGREE}], got {degrees}")
     if not M_list:
         raise UsageError("at least one mesh size M is required")
-    if any(M < 1 for M in M_list):
-        raise UsageError(f"mesh sizes must be positive, got {list(M_list)}")
     first = degrees[0]
     header = [
         "H",
@@ -261,11 +247,14 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
         f"dof_Hsq_p{first}",
         *(f"dof_H_p{d}" for d in degrees[1:]),
     ]
-    body = [
-        [f"1/{M}", dof_count(M, first), dof_count(M * M, first),
-         *(dof_count(M, d) for d in degrees[1:])]
-        for M in M_list
-    ]
+    try:
+        body = [
+            [f"1/{M}", dof_count(M, first), dof_count(M * M, first),
+             *(dof_count(M, d) for d in degrees[1:])]
+            for M in M_list
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return header, body
 
 
@@ -311,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="built-in problem 1 or 2, or a path to a Python "
                         "file defining PROBLEM")
     parser.add_argument("--algorithm", default="two-level",
-                        choices=["galerkin", "two-grid", "two-level"])
+                        choices=CHOICES["algorithm"])
     parser.add_argument("--l", type=int, default=3, metavar="L",
                         help="coarse polynomial degree (default 3)")
     parser.add_argument("--s", type=int, default=None, metavar="S",
@@ -326,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale-exponent", type=int, default=None, metavar="P",
                         help="report h1_error * M^P (default: s, 2l or l "
                         "depending on the algorithm)")
-    parser.add_argument("--solver", default="direct", choices=["direct", "iterative"],
+    parser.add_argument("--solver", default="direct", choices=CHOICES["solver"],
                         help="linear solver family (default direct)")
-    parser.add_argument("--mesh-diagonal", default="up", choices=["down", "up"],
+    parser.add_argument("--mesh-diagonal", default="up", choices=CHOICES["mesh_diagonal"],
                         help="cell diagonal orientation: up for slope +1 "
                         "(default), down for slope -1")
     parser.add_argument("--error-against", default="interpolant",
-                        choices=["interpolant", "exact"],
+                        choices=CHOICES["error_against"],
                         help="H1 error reference: the nodal interpolant of the "
                         "exact solution (default), or the exact solution "
                         "itself via quadrature")

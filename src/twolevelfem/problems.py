@@ -86,30 +86,19 @@ def _f2(x, y):
     )
 
 
+def _preset(u, grad_u, f, name: str) -> ProblemSpec:
+    return ProblemSpec(alpha=_alpha_one, beta=_beta_zero, gamma=_gamma_const, f=f,
+                       exact_u=u, exact_grad_u=grad_u, name=name)
+
+
 def example_1() -> ProblemSpec:
     """Trigonometric solution; smooth but not in any polynomial space."""
-    return ProblemSpec(
-        alpha=_alpha_one,
-        beta=_beta_zero,
-        gamma=_gamma_const,
-        f=_f1,
-        exact_u=_u1,
-        exact_grad_u=_grad_u1,
-        name="example-1",
-    )
+    return _preset(_u1, _grad_u1, _f1, "example-1")
 
 
 def example_2() -> ProblemSpec:
     """Polynomial solution of total degree 6; degree-6 spaces capture it exactly."""
-    return ProblemSpec(
-        alpha=_alpha_one,
-        beta=_beta_zero,
-        gamma=_gamma_const,
-        f=_f2,
-        exact_u=_u2,
-        exact_grad_u=_grad_u2,
-        name="example-2",
-    )
+    return _preset(_u2, _grad_u2, _f2, "example-2")
 
 
 def load_problem_file(path) -> ProblemSpec:

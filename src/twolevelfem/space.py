@@ -2,13 +2,15 @@
 
 Degrees of freedom of the degree-l space on an M-subdivision mesh live on the
 global lattice of spacing 1/(l*M), whose points are numbered lexicographically
-by (y, x) just like mesh vertices (`mesh.lattice`).  The DOF map follows
-`mesh.triangles` by integer arithmetic on lattice numbers, so it holds for any
-vertex order the mesh chooses.  Spaces on the same mesh (or on nested meshes)
-share lattice points exactly, so a prolongation is one reference table read
-through it.  DOFs are numbered in the order a sparse LU eliminates them: the
-interior points first, so every interior (Dirichlet) block is a leading block
-ready to factor, then the boundary points (`FeSpace.numbering`).
+by (y, x) just like mesh vertices (`mesh.lattice`); `dof_count` is the one
+check of an (M, degree) pair.  The DOF map follows `mesh.triangles` by integer
+arithmetic on lattice numbers, so it holds for any vertex order or cell split
+the mesh chooses; only `build_prolongation` reads the split, to check that two
+meshes share it.  Spaces on the same mesh (or on nested meshes) share lattice
+points exactly, so a prolongation is one reference table read through it.
+DOFs are numbered in the order a sparse LU eliminates them: the interior
+points first, so every interior (Dirichlet) block is a leading block ready to
+factor, then the boundary points (`FeSpace.numbering`).
 """
 
 from __future__ import annotations
@@ -86,12 +88,15 @@ class FeSpace:
 
 
 def dof_count(M: int, degree: int) -> int:
-    """Number of global DOFs, boundary included: (degree*M + 1)**2."""
+    """Number of global DOFs, boundary included: (degree*M + 1)**2.  The one
+    check of a space's size: integers M >= 1 and degree in [1, MAX_DEGREE]."""
+    if not all(isinstance(n, (int, np.integer)) for n in (M, degree)):
+        raise ValueError(f"subdivision count and degree must be integers, got {M!r}, {degree!r}")
     if M < 1:
         raise ValueError(f"subdivision count must be positive, got {M}")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"polynomial degree must be in [1, {MAX_DEGREE}], got {degree}")
-    return (degree * M + 1) ** 2
+    return (int(degree) * int(M) + 1) ** 2
 
 
 def _lattice_dofs(mesh: Mesh, degree: int) -> np.ndarray:
@@ -114,16 +119,16 @@ def _elimination_order(mesh: Mesh, degree: int, lattice_dofs: np.ndarray) -> np.
     condensation).  Then the rest by nested dissection of the M x M cells
     (George, SIAM J. Numer. Anal. 1973): cut along the mesh line x = c/M or
     y = c/M across the longer side, number the cut after both halves, and
-    recurse down to single cells, which hold the inner nodes of their
-    diagonal.  A region's order is a translated copy of the order of any
+    recurse down to single cells, which hold the inner nodes that their two
+    triangles share.  A region's order is a translated copy of the order of any
     region of its shape, and bisection makes at most two widths and two
     heights per level, so each shape is built once, from its halves.
     Offsets are int32, exact below (6 * 4096 + 1)**2 < 2**31."""
     d, M = degree, mesh.M
     p, q = lattice_nodes(d).T
     row = d * M + 1  # lattice points per row
-    t = np.arange(1, d, dtype=np.int32)
-    shapes = {(1, 1): t * row + (t if mesh.diagonal == "up" else d - t)}
+    # Triangles 0 and 1 split cell 0, whose lower-left corner is point 0.
+    shapes = {(1, 1): np.intersect1d(*lattice_dofs[:2])[1:-1].astype(np.int32)}
 
     def region(w, h):
         """The inner nodes of a w x h cell region that are not bubbles, in
@@ -201,15 +206,11 @@ def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
             f"target mesh (M={target.mesh.M}) is not a refinement of the "
             f"source mesh (M={source.mesh.M})"
         )
-    if r == 1 and source.degree > target.degree:
+    if not source.degree <= target.degree <= (source.degree if r > 1 else MAX_DEGREE):
         raise ValueError(
-            "same-mesh prolongation needs source degree <= target degree, "
-            f"got {source.degree} -> {target.degree}"
-        )
-    if r > 1 and source.degree != target.degree:
-        raise ValueError(
-            "nested-mesh prolongation needs equal degrees, "
-            f"got {source.degree} -> {target.degree}"
+            "prolongation needs source degree <= target degree on the same mesh and "
+            f"equal degrees on a refined one, got {source.degree} -> {target.degree} "
+            f"at refinement {r}"
         )
 
     # Each source triangle holds the target DOFs at the same reference

@@ -64,6 +64,14 @@ def test_config_validation():
         run_config("two-grid", fine_factor=2, k=0)
     with pytest.raises(UsageError):
         run_config("galerkin", l=7)
+    with pytest.raises(UsageError):
+        run_config("two-level", l=3.0, s=4)
+    with pytest.raises(UsageError):
+        run_config("two-level", l=1, s=2.0)
+    with pytest.raises(UsageError):
+        run_config("two-level", s=4, k=2.5)
+    with pytest.raises(UsageError):
+        run_config("galerkin", M_list=(2.5,))
     run_config("two-level", s=4)
     run_config("two-grid")
 

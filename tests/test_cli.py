@@ -8,6 +8,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from twolevelfem.algorithms import galerkin_solve
 from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
 from twolevelfem.solver import SolverError
-from twolevelfem.space import build_space
+from twolevelfem.space import build_space, dof_count
 
 HEADER = "M,H,l,s_or_r,k,dofs_coarse,dofs_fine,h1_error,scaled_error,cpu_seconds"
 
@@ -107,6 +108,39 @@ def test_dof_table_tiny_case(capsys):
     lines = captured.out.strip().split("\n")
     assert lines[0] == "H,dof_H_p1,dof_Hsq_p1"
     assert lines[1] == "1/1,4,4"
+
+
+def test_dof_table_refuses_non_integers():
+    with pytest.raises(cli.UsageError):
+        cli.dof_table((3,), (2.5,))
+    with pytest.raises(cli.UsageError):
+        cli.dof_table((2.5,), (3,))
+
+
+@pytest.mark.parametrize("algorithm, l, s, M, fine_factor, s_or_r", [
+    ("galerkin", 2, None, 2, "square", 2),
+    ("two-level", 1, 2, 2, "square", 2),
+    ("two-grid", 1, None, 3, "square", 3),
+    ("two-grid", 1, None, 2, 2, 2),
+])
+def test_config_spaces_are_what_a_row_builds(algorithm, l, s, M, fine_factor, s_or_r):
+    config = cli.RunConfig(example="1", algorithm=algorithm, l=l, s=s, k=1, M_list=(M,),
+                           fine_factor=fine_factor)
+    counts = [dof_count(m, p) for p, m in config.spaces(M)]
+    assert len(counts) == (1 if algorithm == "galerkin" else 2)
+    (row,) = cli.run_experiment(config)
+    assert (row.dofs_coarse, row.dofs_fine) == (counts[0], counts[-1])
+    assert row.s_or_r == s_or_r
+
+
+def test_numpy_integers_are_accepted_as_integers():
+    one, two = np.int64(1), np.int64(2)
+    cli.RunConfig(example="1", algorithm="two-level", l=one, s=two, k=one, M_list=(two,))
+    config = cli.RunConfig(example="1", algorithm="two-grid", l=one, s=None, k=one,
+                           M_list=(two,), fine_factor=two)
+    assert config.spaces(2) == [(1, 2), (1, 4)]
+    (row,) = cli.run_experiment(config)
+    assert (row.dofs_coarse, row.dofs_fine, row.s_or_r) == (9, 25, 2)
 
 
 def test_dof_table_markdown(capsys):
@@ -280,7 +314,8 @@ def run_argv(draw):
     """Run flags, each drawn from its valid values, weighted four to one,
     and its bad ones; None leaves an optional flag at its default and a
     required one missing.  Every run the CLI can accept stays tiny: M <= 3,
-    degrees <= 3, k <= 3, two-grid fine M <= 9."""
+    degrees <= 3, k <= 3, two-grid fine M <= 9.  One draw in five asks for
+    the DOF table instead, with its own --M and --degrees."""
     argv = []
 
     def option(flag, valid, bad):
@@ -289,10 +324,17 @@ def run_argv(draw):
             argv.extend([flag, value])
         return value
 
+    M_valid = ["1", "2", "3", "3,1", "3,2,", "2,,2"]
+    M_bad = [None, "", ",", "0", "-1", "2,x", HUGE, "square"]
+    if draw(st.integers(0, 4)) == 0:
+        option("--M", M_valid, M_bad)
+        option("--degrees", [None, "1", "3", "3,4,5,6", "6,1"],
+               ["", ",", "0", "-1", "7", "3,7", "2.5", "x", HUGE])
+        option("--format", [None, "csv", "markdown"], ["xml"])
+        return argv + ["--dof-table"]
     option("--algorithm", ["two-grid", "two-level", "galerkin", None], ["bogus"])
     option("--example", ["1", "2"], [None, "3", ""])
-    option("--M", ["1", "2", "3", "3,1", "3,2,", "2,,2"],
-           [None, "", ",", "0", "-1", "2,x", HUGE, "square"])
+    option("--M", M_valid, M_bad)
     option("--l", [None, "1", "2"], BAD_INTS)
     option("--s", [None, "2", "3"], BAD_INTS)
     option("--k", [None, "1", "2", "3"], BAD_INTS)
@@ -337,9 +379,13 @@ def test_parser_accepts_a_run_or_refuses_it_in_one_line(argv):
     assert code in (0, 1)
     options = dict(zip(argv[::2], argv[1::2]))   # flags and values alternate
     header, body = table_lines(out.getvalue(), options.get("--format", "csv"))
+    M_list = [int(M) for M in options["--M"].split(",") if M]
+    if argv[-1] == "--dof-table":
+        assert header[0] == "H"
+        assert [row[0] for row in body] == [f"1/{M}" for M in M_list]
+        return
     assert header == cli.CSV_COLUMNS
-    assert [int(row[0]) for row in body] == \
-        [int(M) for M in options["--M"].split(",") if M]
+    assert [int(row[0]) for row in body] == M_list
 
 
 def test_readme_flags_table_names_every_option():

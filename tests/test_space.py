@@ -79,6 +79,11 @@ def test_dof_count_rejects_bad_parameters():
         dof_count(4, 0)
     with pytest.raises(ValueError):
         dof_count(4, 7)
+    with pytest.raises(ValueError):
+        dof_count(3, 2.5)
+    with pytest.raises(ValueError):
+        dof_count(2.5, 2)
+    assert dof_count(np.int64(3), np.int64(3)) == 100
 
 
 @pytest.mark.parametrize("diagonal", ["down", "up"])
