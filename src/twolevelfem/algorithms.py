@@ -16,7 +16,7 @@ straight fine Galerkin solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class IterateState:
     """Where the iteration stands: current fine iterate and its history."""
 
     current: np.ndarray
-    residual_history: list = field(default_factory=list)
+    residual_history: list
 
 
 def _interior_solve(solve, rhs: np.ndarray, space: FeSpace) -> np.ndarray:
@@ -72,7 +72,7 @@ class IterationOperators:
         A_coarse = assemble_stiffness(coarse, spec)
         N_coarse = assemble_nonsym(coarse, spec)
 
-        self.coarse_interior = coarse.interior_dofs
+        self.coarse_interior = np.arange(coarse.n_interior)
 
         nf, nc = fine.n_interior, coarse.n_interior
         self._solve_fine_spd = make_factor(self.A_fine[:nf, :nf], solver)
@@ -108,13 +108,11 @@ def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
     u = np.zeros(ops.fine.n_dofs_total)
-    state = IterateState(current=u)
+    history = []
     for _ in range(k):
-        e = ops.correction(u)
-        u = ops.update(u, e)
-        state.current = u
-        state.residual_history.append(ops.fine_residual(u))
-    return state
+        u = ops.update(u, ops.correction(u))
+        history.append(ops.fine_residual(u))
+    return IterateState(u, history)
 
 
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:

@@ -240,6 +240,8 @@ def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
         raise UsageError("at least one degree is required")
     if not M_list:
         raise UsageError("at least one mesh size M is required")
+    if len(set(degrees)) < len(degrees):
+        raise UsageError(f"degrees must be distinct, got {', '.join(map(str, degrees))}")
     first = degrees[0]
     header = [
         "H",

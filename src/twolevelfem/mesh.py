@@ -49,15 +49,6 @@ class Mesh:
     diagonal: str = "down"           # "down" (slope -1) or "up" (slope +1)
 
     @property
-    def H(self) -> float:
-        """Mesh size, the side length 1/M of the grid cells."""
-        return 1.0 / self.M
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
@@ -66,10 +57,6 @@ class Mesh:
         """(n_edges, 2) int vertex pairs, each pair sorted."""
         pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         return np.unique(pairs, axis=0)
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ exact gradient for error integration.
 
 from __future__ import annotations
 
-import importlib.util
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +106,10 @@ def load_problem_file(path) -> ProblemSpec:
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"problem file not found: {path}")
-    module_spec = importlib.util.spec_from_file_location(f"_problem_{path.stem}", path)
-    module = importlib.util.module_from_spec(module_spec)
     try:
-        module_spec.loader.exec_module(module)
+        problem = runpy.run_path(str(path)).get("PROBLEM")
     except Exception as exc:
         raise ValueError(f"{path}: could not load: {exc}") from exc
-    problem = getattr(module, "PROBLEM", None)
     if not isinstance(problem, ProblemSpec):
         raise ValueError(f"{path} must define PROBLEM as a ProblemSpec instance")
     return problem

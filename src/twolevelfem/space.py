@@ -32,7 +32,7 @@ _DROP_TOL = 1e-13
 
 class CoefficientError(ValueError):
     """A coefficient or exact-solution callable raised, or returned values of
-    the wrong shape or non-finite values."""
+    the wrong shape, complex values or non-finite values."""
 
 
 def checked_field(fn, pts: np.ndarray, shape, what: str, matrix: bool = False) -> np.ndarray:
@@ -40,12 +40,17 @@ def checked_field(fn, pts: np.ndarray, shape, what: str, matrix: bool = False) -
 
     With `matrix`, values whose last two axes are (2, 2) are broadcast to
     shape + (2, 2) instead.  Any exception fn raises, a wrong shape and a
-    non-finite value all raise CoefficientError naming `what`.
+    non-finite value all raise CoefficientError naming `what`, and so do
+    complex values, which a float cast would truncate to their real part.
     """
     try:
-        field = np.asarray(fn(pts[..., 0], pts[..., 1]), dtype=float)
+        field = np.asarray(fn(pts[..., 0], pts[..., 1]))
+        if not np.iscomplexobj(field):
+            field = field.astype(float, copy=False)
     except Exception as exc:
         raise CoefficientError(f"{what} raised {type(exc).__name__}: {exc}") from None
+    if np.iscomplexobj(field):
+        raise CoefficientError(f"{what} returned complex values")
     if matrix and field.shape[-2:] == (2, 2):
         shape = shape + (2, 2)
     try:
@@ -75,16 +80,6 @@ class FeSpace:
     def n_interior(self) -> int:
         """Number of DOFs off the boundary, which lead the numbering."""
         return (self.degree * self.mesh.M - 1) ** 2
-
-    @property
-    def interior_dofs(self) -> np.ndarray:
-        """The DOFs off the boundary: 0..n_interior-1."""
-        return np.arange(self.n_interior)
-
-    @property
-    def boundary_dofs(self) -> np.ndarray:
-        """The DOFs on the boundary, after the interior ones."""
-        return np.arange(self.n_interior, self.n_dofs_total)
 
 
 def dof_count(M: int, degree: int) -> int:
@@ -182,8 +177,6 @@ def interpolate(space: FeSpace, g) -> np.ndarray:
 class Prolongation:
     """Sparse interpolation operator from a source space into a finer one."""
 
-    source: FeSpace
-    target: FeSpace
     matrix: sp.csr_matrix  # (target.n_dofs_total, source.n_dofs_total)
 
 
@@ -231,4 +224,4 @@ def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
     )
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    return Prolongation(source=source, target=target, matrix=matrix)
+    return Prolongation(matrix=matrix)

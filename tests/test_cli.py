@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,13 @@ def test_dof_table_refuses_non_integers():
         cli.dof_table((3,), (2.5,))
     with pytest.raises(cli.UsageError):
         cli.dof_table((2.5,), (3,))
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (3, 4, 3)])
+def test_dof_table_refuses_repeated_degrees(degrees):
+    """A repeated degree would repeat a column name of the table."""
+    with pytest.raises(cli.UsageError, match="distinct"):
+        cli.dof_table((9,), degrees)
 
 
 @pytest.mark.parametrize("algorithm, l, s, M, fine_factor, s_or_r", [
@@ -329,7 +337,7 @@ def run_argv(draw):
     if draw(st.integers(0, 4)) == 0:
         option("--M", M_valid, M_bad)
         option("--degrees", [None, "1", "3", "3,4,5,6", "6,1"],
-               ["", ",", "0", "-1", "7", "3,7", "2.5", "x", HUGE])
+               ["", ",", "0", "-1", "7", "3,7", "2.5", "x", HUGE, "3,3", "3,4,3"])
         option("--format", [None, "csv", "markdown"], ["xml"])
         return argv + ["--dof-table"]
     option("--algorithm", ["two-grid", "two-level", "galerkin", None], ["bogus"])
@@ -381,7 +389,7 @@ def test_parser_accepts_a_run_or_refuses_it_in_one_line(argv):
     header, body = table_lines(out.getvalue(), options.get("--format", "csv"))
     M_list = [int(M) for M in options["--M"].split(",") if M]
     if argv[-1] == "--dof-table":
-        assert header[0] == "H"
+        assert header[0] == "H" and len(set(header)) == len(header)
         assert [row[0] for row in body] == [f"1/{M}" for M in M_list]
         return
     assert header == cli.CSV_COLUMNS
@@ -460,6 +468,31 @@ def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+COMPLEX_PROBLEM = """
+import dataclasses
+from twolevelfem.problems import example_1
+
+BASE = example_1()
+PROBLEM = dataclasses.replace(BASE, f=lambda x, y: (1 + 1j) * BASE.f(x, y))
+"""
+
+
+def test_complex_coefficient_values_exit_with_2(tmp_path, capsys):
+    """A float cast keeps only the real part of a complex f, which would
+    print example 1's row; the values are refused before any cast, also
+    where the cast's ComplexWarning is not raised as an error."""
+    path = tmp_path / "complex.py"
+    path.write_text(COMPLEX_PROBLEM)
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as excinfo:
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        cli.main(["--example", str(path), "--algorithm", "galerkin", "--l", "2", "--M", "4"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "f returned complex values" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_parallel_rows_match_sequential(capsys):

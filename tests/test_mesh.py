@@ -13,17 +13,18 @@ DIAGONALS = ["down", "up"]
 @pytest.mark.parametrize("M", [1, 2, 4, 9, 16])
 def test_entity_counts(M, diagonal):
     mesh = build_structured_mesh(M, diagonal=diagonal)
-    assert mesh.n_vertices == (M + 1) ** 2
+    assert len(mesh.vertices) == (M + 1) ** 2
     assert mesh.n_triangles == 2 * M * M
     # Euler relation for the triangulated square.
-    assert mesh.n_edges == (M + 1) ** 2 + 2 * M * M - 1
+    assert mesh.edges.shape[0] == (M + 1) ** 2 + 2 * M * M - 1
     assert mesh.M == M
-    assert mesh.H == pytest.approx(1.0 / M)
+    # The grid cells have side 1/M.
+    assert np.diff(np.unique(mesh.vertices[:, 0])) == pytest.approx(np.full(M, 1.0 / M))
 
 
 def test_smallest_mesh_counts():
     mesh = build_structured_mesh(1)
-    assert (mesh.n_vertices, mesh.n_triangles, mesh.n_edges) == (4, 2, 5)
+    assert (len(mesh.vertices), mesh.n_triangles, mesh.edges.shape[0]) == (4, 2, 5)
     # Vertex and triangle numbering of the smallest "down" mesh.
     assert mesh.vertices.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
     assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
@@ -31,12 +32,12 @@ def test_smallest_mesh_counts():
 
 def test_quarter_mesh_counts():
     mesh = build_structured_mesh(4)
-    assert (mesh.n_vertices, mesh.n_triangles) == (25, 32)
+    assert (len(mesh.vertices), mesh.n_triangles) == (25, 32)
 
 
 def test_m9_counts():
     mesh = build_structured_mesh(9)
-    assert (mesh.n_vertices, mesh.n_triangles) == (100, 162)
+    assert (len(mesh.vertices), mesh.n_triangles) == (100, 162)
 
 
 @pytest.mark.parametrize("diagonal", DIAGONALS)
@@ -140,7 +141,7 @@ def test_refine_matches_square_relation():
     coarse = build_structured_mesh(9)
     fine = refine_nested(coarse, 9)
     assert fine.M == 81
-    assert fine.H == pytest.approx(coarse.H**2)
+    assert fine.M == coarse.M**2
 
 
 @pytest.mark.parametrize("bad", [0, -3, 4097])

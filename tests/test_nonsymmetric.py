@@ -9,6 +9,7 @@ the variable-alpha, beta and gamma paths of assembly end to end.
 
 import csv
 import io
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,9 @@ TWO_GRID_P3 = (6.968938349806583e-04, 1.263009828711306e-04,
 FROZEN_RTOL = 1e-5
 
 
-def table(capsys, *args):
+def table(capsys, *args, problem_file=PROBLEM_FILE):
     """The rows of one CLI run on the problem file, as dicts by column."""
-    code = cli.main(["--example", PROBLEM_FILE, *args])
+    code = cli.main(["--example", str(problem_file), *args])
     assert code == 0
     return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
 
@@ -47,6 +48,19 @@ def test_problem_is_nonsymmetric():
     space = build_space(build_structured_mesh(2), 2)
     N = assemble_nonsym(space, load_problem_file(PROBLEM_FILE)).toarray()
     assert np.abs(N - N.T).max() > 0.1 * np.abs(N).max()
+
+
+@pytest.mark.parametrize("name", ["nonsym", "nonsym.txt"])
+def test_problem_file_of_any_name_loads(tmp_path, capsys, name):
+    """--example PATH takes a Python source file whatever its name ends in."""
+    copy = tmp_path / name
+    shutil.copyfile(PROBLEM_FILE, copy)
+    args = ("--algorithm", "two-level", "--l", "1", "--s", "2", "--k", "2", "--M", "2,3")
+    rows = table(capsys, *args, problem_file=copy)
+    expected = table(capsys, *args)
+    for row in rows + expected:
+        del row["cpu_seconds"]
+    assert rows == expected
 
 
 def test_two_level_errors_frozen(capsys):

@@ -91,15 +91,15 @@ def test_dof_count_rejects_bad_parameters():
 def test_space_counts(M, degree, diagonal):
     space = build_space(build_structured_mesh(M, diagonal=diagonal), degree)
     assert space.n_dofs_total == dof_count(M, degree)
-    assert len(space.boundary_dofs) == 4 * degree * M
-    assert len(space.interior_dofs) == space.n_dofs_total - 4 * degree * M
+    on_boundary = ((space.dof_coordinates == 0.0) | (space.dof_coordinates == 1.0)).any(axis=1)
+    assert on_boundary.sum() == 4 * degree * M
+    assert space.n_interior == space.n_dofs_total - 4 * degree * M
 
 
 def test_unit_cell_space_all_boundary():
     space = build_space(build_structured_mesh(1), 1)
     assert space.n_dofs_total == 4
-    assert np.array_equal(space.boundary_dofs, np.arange(4))
-    assert space.interior_dofs.size == 0
+    assert space.n_interior == 0
 
 
 def lattice_order(space):
@@ -143,14 +143,13 @@ def lattice_order(space):
 @example("rotated", "down", 13, 6)
 def test_interior_dofs_are_the_lattice_elimination_order(kind, diagonal, M, degree):
     """The DOFs number the lattice points (DOF numbering[j] sits at lattice
-    point j), those off the boundary first: interior_dofs is 0..n_int-1 and
-    boundary_dofs the rest.  The first 2 M^2 (d-1)(d-2)/2 DOFs are the points
+    point j), those off the boundary first: the interior DOFs are 0..n_int-1
+    and the boundary DOFs the rest.  The first 2 M^2 (d-1)(d-2)/2 DOFs are the points
     strictly inside the triangles, triangle by triangle, and the interior
     lattice points in DOF order equal the recursion."""
     space = build_space(MESHES[kind](M, diagonal), degree)
-    n, n_int = space.n_dofs_total, (degree * M - 1) ** 2
-    assert np.array_equal(space.interior_dofs, np.arange(n_int))
-    assert np.array_equal(space.boundary_dofs, np.arange(n_int, n))
+    n_int = (degree * M - 1) ** 2
+    assert space.n_interior == n_int
     coords = space.dof_coordinates
     assert np.array_equal(coords[space.numbering], lattice(degree * M)[0])
     inside = ((coords > 0.0) & (coords < 1.0)).all(axis=1)
@@ -193,7 +192,7 @@ def test_dof_map_follows_the_triangles(degree, diagonal):
 
 def test_boundary_dofs_lie_on_boundary():
     space = build_space(build_structured_mesh(4), 3)
-    coords = space.dof_coordinates[space.boundary_dofs]
+    coords = space.dof_coordinates[space.n_interior:]
     on_edge = (
         (coords[:, 0] == 0.0)
         | (coords[:, 0] == 1.0)
@@ -201,7 +200,7 @@ def test_boundary_dofs_lie_on_boundary():
         | (coords[:, 1] == 1.0)
     )
     assert on_edge.all()
-    inner = space.dof_coordinates[space.interior_dofs]
+    inner = space.dof_coordinates[:space.n_interior]
     assert np.all((inner > 0.0).all(axis=1) & (inner < 1.0).all(axis=1))
 
 
