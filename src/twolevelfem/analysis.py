@@ -35,7 +35,7 @@ class ExperimentRow:
 
 def error_quadrature(degree: int) -> QuadratureRule:
     """Rule used for error integration: well beyond assembly exactness."""
-    return build_quadrature(2 * degree + 6)
+    return build_quadrature(2 * degree + 8)
 
 
 def _coefficients(space: FeSpace, coefficients) -> np.ndarray:

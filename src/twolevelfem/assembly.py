@@ -97,8 +97,9 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """
     def coefficient(pts, wdet, inv):
         alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
-        if alpha.ndim == 2:
-            alpha = alpha[..., None, None] * np.eye(2)
+        if alpha.ndim == 2:   # scalar: alpha inv inv^T
+            outer = np.einsum("eac,ebc->eab", inv, inv).reshape(-1, 1, 4)
+            return (wdet * alpha)[..., None] * outer
         # (inv alpha inv^T)[a, b] = sum over c, d of inv[a, c] inv[b, d] alpha[c, d]
         pairs = np.einsum("eac,ebd->eabcd", inv, inv).reshape(-1, 4, 4)
         return wdet[..., None] * (alpha.reshape(*wdet.shape, 4) @ pairs.swapaxes(1, 2))

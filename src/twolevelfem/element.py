@@ -110,22 +110,27 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would hit the entry of np.int64(3)
 def build_quadrature(min_exact_degree: int) -> QuadratureRule:
-    """Build a triangle rule exact at least to the requested total degree.
+    """Build a triangle rule exact at least to the requested total degree d.
 
-    A tensor Gauss-Legendre rule on the unit square is collapsed onto the
-    triangle via (xi, eta) -> (xi*(1-eta), eta), whose Jacobian 1-eta raises
-    the eta-degree of the integrand by one; the per-axis point count
-    ceil((d+2)/2) covers that, plus one extra point of margin.
+    Stroud's conical product rule: the unit square is collapsed onto the
+    triangle by (xi, eta) -> (xi*(1-eta), eta), whose Jacobian 1-eta is the
+    weight of an n-point Gauss-Jacobi(1, 0) rule in eta, beside n-point
+    Gauss-Legendre in xi.  x^a y^b becomes a degree-a polynomial in xi and a
+    degree-(a+b) one in eta, so n = d//2 + 1 points per axis are exact to
+    total degree 2n - 1 >= d.  The Jacobi nodes and weights are the
+    eigenvalues and first eigenvector components of the Jacobi matrix of the
+    three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969).
     """
     if not isinstance(min_exact_degree, (int, np.integer)) or min_exact_degree < 1:
         raise ValueError(
             f"requested exactness degree must be a positive integer, got {min_exact_degree!r}"
         )
-    n = (int(min_exact_degree) + 3) // 2 + 1
+    n = int(min_exact_degree) // 2 + 1
     t, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    xi, eta = np.meshgrid(t, t, indexing="ij")
+    j, k = np.arange(n), np.arange(1, n)
+    off = np.diag(np.sqrt(k * (k + 1)) / (2 * k + 1), 1)
+    s, v = np.linalg.eigh(np.diag(-1.0 / ((2 * j + 1) * (2 * j + 3))) + off + off.T)
+    xi, eta = np.meshgrid(0.5 * (t + 1.0), 0.5 * (s + 1.0), indexing="ij")
     points = np.column_stack([(xi * (1.0 - eta)).ravel(), eta.ravel()])
-    weights = np.outer(w, w * (1.0 - t)).ravel()
-    return QuadratureRule(points=points, weights=weights, exact_degree=2 * n - 2)
+    weights = np.outer(0.5 * w, 0.5 * v[0] ** 2).ravel()
+    return QuadratureRule(points=points, weights=weights, exact_degree=2 * n - 1)

@@ -51,14 +51,13 @@ def _relative_residual(A, x, b, norm_b) -> float:
     return float(np.linalg.norm(A @ x - b) / norm_b)
 
 
-def _scaled(b: np.ndarray) -> tuple[np.ndarray, float]:
-    """b times a power of two s, and s: 1 unless the squares of b's entries
-    would underflow (or overflow) its 2-norm, else the s that brings max|b|
-    into [0.5, 1).  Scaling by a power of two is exact, so x / s solves the
-    original system and ordinary solves stay bitwise unchanged."""
-    exponent = np.frexp(np.max(np.abs(b)))[1]
-    scale = 1.0 if abs(exponent) < 500 else float(np.ldexp(1.0, -exponent))
-    return b * scale, scale
+def _scaled(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """b times 2**-e, and e: 0 unless the squares of b's entries would
+    underflow (or overflow) its 2-norm, else the e that brings max|b| into
+    [0.5, 1).  Scaling b itself by a power of two is exact, even where 2**-e
+    would overflow, so ldexp(x, e) solves the original system."""
+    exponent = int(np.frexp(np.max(np.abs(b)))[1])
+    return (b, 0) if abs(exponent) < 500 else (np.ldexp(b, -exponent), exponent)
 
 
 def _residual_floor(A, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
@@ -76,7 +75,7 @@ def _certified(A, b: np.ndarray, inner: Callable, method: str) -> tuple[np.ndarr
     floor and each step lowers it; iterations = refinements + inner ones."""
     if not b.any():
         return np.zeros_like(b), SolveReport(method, 0, 0.0)
-    b, scale = _scaled(b)
+    b, exponent = _scaled(b)
     norm_b = np.linalg.norm(b)
     x, iterations = inner(b)
     resid = _relative_residual(A, x, b, norm_b)
@@ -99,7 +98,7 @@ def _certified(A, b: np.ndarray, inner: Callable, method: str) -> tuple[np.ndarr
         raise SolverError(f"{method} solve stalled at relative residual {resid:.3e} after "
                           f"{report.iterations} iterations (target {target:.1e}: tolerance "
                           f"{TOL:.1e} or the certified floor, whichever is larger)", report)
-    return x / scale, report
+    return np.ldexp(x, exponent), report
 
 
 class DirectFactor:

@@ -135,6 +135,13 @@ def test_load_sum_for_sine_source():
     assert F.sum() == pytest.approx(3.9471526543064894, abs=1e-8)
 
 
+def test_assembly_rule_point_counts():
+    """2p + 3 asks for degree 9 at P3 and 15 at P6: 5 x 5 and 8 x 8
+    points of the conical product rule."""
+    assert len(default_assembly_quadrature(3).weights) == 25
+    assert len(default_assembly_quadrature(6).weights) == 64
+
+
 def direct_quadrature(space, spec):
     """A, Npart and F of `spec` on `space` by a plain per-element double loop
     over the local basis pairs, with physical gradients mapped one element

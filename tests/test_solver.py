@@ -156,8 +156,8 @@ def certified_floor(K, x, b):
     x and b are first scaled by the power of two that brings max|b| into
     [0.5, 1), which changes no relative quantity and keeps the norms of tiny
     right-hand sides from underflowing to 0/0."""
-    power = np.ldexp(1.0, -np.frexp(np.max(np.abs(b)))[1])
-    x, b = power * x, power * b
+    exponent = np.frexp(np.max(np.abs(b)))[1]
+    x, b = np.ldexp(x, -exponent), np.ldexp(b, -exponent)
     scale = np.linalg.norm(abs(K) @ np.abs(x) + np.abs(b))
     return 8.0 * np.finfo(float).eps * scale / np.linalg.norm(b)
 
@@ -264,11 +264,14 @@ def assert_matches_dense(x, K, b):
 
 # A right-hand side whose 2-norm underflows: its squared entries are 0.
 TINY_SYSTEM = (sp.csr_matrix([[3.0]]), np.array([2.47845108e-196]))
+# A subnormal right-hand side, below 2**-1022, whose scale 2**-e would overflow.
+SUBNORMAL_SYSTEM = (sp.csr_matrix([[3.0]]), np.array([2.22507386e-313]))
 
 
 @settings(derandomize=True, deadline=None)
 @given(dominant_systems())
 @example(TINY_SYSTEM)
+@example(SUBNORMAL_SYSTEM)
 def test_direct_solve_matches_dense(system):
     K, b = system
     x, report = make_factor(K)(b)
@@ -280,6 +283,7 @@ def test_direct_solve_matches_dense(system):
 @settings(derandomize=True, deadline=None)
 @given(dominant_systems())
 @example(TINY_SYSTEM)
+@example(SUBNORMAL_SYSTEM)
 def test_krylov_solve_matches_dense(system):
     K, b = system
     x, report = make_factor(K, "iterative")(b)
@@ -287,11 +291,12 @@ def test_krylov_solve_matches_dense(system):
     assert report.relative_residual <= TOL
 
 
-@pytest.mark.parametrize("b", [2.47845108e-196, 1e300])
+@pytest.mark.parametrize("b", [2.47845108e-196, 1e300, 1e-310])
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
 def test_right_hand_side_beyond_the_norm_range(solver, b):
-    """Squaring b underflows (or overflows) its 2-norm; the solve must still
-    return x = b / 3 to the last bits and report its true residual."""
+    """Squaring b underflows (or overflows) its 2-norm, and 1e-310 is
+    subnormal; the solve must still return x = b / 3 to the last bits and
+    report its true residual."""
     K, rhs = sp.csr_matrix([[3.0]]), np.array([b])
     x, report = make_factor(K, solver)(rhs)
     assert x[0] == pytest.approx(b / 3.0, rel=4 * np.finfo(float).eps, abs=0.0)
