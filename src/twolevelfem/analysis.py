@@ -38,6 +38,12 @@ def error_quadrature(degree: int) -> QuadratureRule:
     return build_quadrature(2 * degree + 8)
 
 
+def norm_quadrature(degree: int) -> QuadratureRule:
+    """Rule of the H1 norm of a member of the space: the smallest one exact
+    for its degree-2p integrand."""
+    return build_quadrature(2 * degree)
+
+
 def _coefficients(space: FeSpace, coefficients) -> np.ndarray:
     """`coefficients` as a float vector, one entry per DOF of `space`."""
     coefficients = np.asarray(coefficients, dtype=float)
@@ -81,12 +87,11 @@ def h1_error(space: FeSpace, coefficients: np.ndarray, exact_u: Callable,
 def h1_norm_discrete(space: FeSpace, coefficients) -> float:
     """H1 norm of a member of the space, from its coefficient vector.
 
-    The integrand has degree 2p on each triangle, and the rule used is the
-    smallest one exact for that degree, so up to roundoff this is the exact
-    H1 norm of the piecewise polynomial, with no quadrature-of-the-exact-
-    solution error.
+    The integrand has degree 2p on each triangle, and norm_quadrature is
+    exact for it, so up to roundoff this is the exact H1 norm of the
+    piecewise polynomial, with no quadrature-of-the-exact-solution error.
     """
-    return float(np.sqrt(_h1_squared(space, coefficients, build_quadrature(2 * space.degree))))
+    return float(np.sqrt(_h1_squared(space, coefficients, norm_quadrature(space.degree))))
 
 
 def h1_distance(space: FeSpace, coefficients_a, coefficients_b) -> float:

@@ -81,12 +81,27 @@ def _integrate(space: FeSpace, table, coefficient) -> np.ndarray:
 
 
 def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix."""
-    # int32 indices, the ones scipy keeps, so no int64 copy lives beside
-    # them: exact, as no space has more than (6 * 4096 + 1)**2 < 2**31 DOFs.
+    """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix.
+
+    The sum is the sparse product R X.  Row e*n_local + i of the element-row
+    matrix X is row i of triangle e's local matrix, in the columns
+    cell_to_dofs[e]; the 0/1 scatter matrix R adds that row into DOF row
+    cell_to_dofs[e, i].  Scipy's product sums each row's duplicates in a
+    dense accumulator, with no sort, so the result holds no duplicates, no
+    entry whose sum is exactly zero, and column indices in no particular
+    order: nothing here needs them sorted.
+    """
+    # DOF numbers are int32, exact as no space has more than
+    # (6 * 4096 + 1)**2 < 2**31 DOFs.  X.indptr counts local entries,
+    # n_triangles * n_local**2, past 2**31 at P6 from M = 1,171, so scipy
+    # picks its dtype.
     dofs, nb = space.cell_to_dofs.astype(np.int32), space.element.n_basis
-    rows, cols = np.repeat(dofs, nb, axis=1).ravel(), np.tile(dofs, (1, nb)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs_total,) * 2).tocsr()
+    n_rows, n = dofs.size, space.n_dofs_total
+    columns = np.broadcast_to(dofs[:, None, :], (len(dofs), nb, nb)).ravel()
+    X = sp.csr_matrix((local.ravel(), columns, np.arange(n_rows + 1) * nb), shape=(n_rows, n))
+    R = sp.csr_matrix((np.ones(n_rows), dofs.ravel(), np.arange(n_rows + 1)),
+                      shape=(n_rows, n)).T.tocsr()
+    return R @ X
 
 
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:

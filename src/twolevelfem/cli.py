@@ -28,8 +28,10 @@ from numbers import Integral
 from typing import Optional, Union
 
 from .algorithms import IterationOperators, galerkin_solve, run_correction_iteration
-from .analysis import ExperimentRow, h1_distance, h1_error, time_run
-from .assembly import ProblemSpec
+from .analysis import (ExperimentRow, error_quadrature, h1_distance, h1_error,
+                       norm_quadrature, time_run)
+from .assembly import ProblemSpec, default_assembly_quadrature
+from .element import build_reference_element
 from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
 from .solver import SolverError
@@ -126,13 +128,15 @@ class RunConfig:
         return [(self.l, M), (self.l, M * self.resolved_fine_factor(M))]
 
     def row_bytes(self, M: int) -> float:
-        """Peak memory of the row at M, above that of 14 measured rows (P1-P6,
-        up to 187,489 DOFs): in each space the row assembles and factors, L+U
-        holds at most 16 n^0.2 entries per DOF, at 20 bytes each while SuperLU
-        factors (12 stored, the rest its work arrays and the matrix copies),
-        and assembly's COO buffers take 24 bytes per local entry."""
+        """Peak memory of the row at M, above that of the rows measured in
+        tests/test_cli.py (P1-P6, up to 187,489 DOFs): in each space the row
+        assembles and factors, L+U holds at most 16 n^0.2 entries per DOF, at
+        20 bytes each while SuperLU factors (12 stored, the rest its work
+        arrays and the matrix copies), and assembly takes 12 bytes per local
+        entry: the float64 local matrices and the int32 column indices of
+        their element rows."""
         return sum(20 * 16 * dof_count(m, p) ** 1.2
-                   + 24 * 2 * m * m * ((p + 1) * (p + 2) // 2) ** 2 for p, m in self.spaces(M))
+                   + 12 * 2 * m * m * ((p + 1) * (p + 2) // 2) ** 2 for p, m in self.spaces(M))
 
     def resolved_scale_exponent(self) -> int:
         if self.scale_exponent is not None:
@@ -205,6 +209,15 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
         raise UsageError(
             "the experiment tables need exact_u and exact_grad_u on the problem"
         )
+    # Build the cached elements and rules every row reads before any row's
+    # timer starts, so no cpu_seconds holds their eigenvalue solves.
+    error_rule = error_quadrature if config.error_against == "exact" else norm_quadrature
+    for M in config.M_list:
+        degrees = [p for p, _ in config.spaces(M)]
+        for p in degrees:
+            build_reference_element(p)
+            default_assembly_quadrature(p)
+        error_rule(degrees[-1])
     if config.parallel:
         with ThreadPoolExecutor(max_workers=POOL_SIZE) as pool:
             futures = [pool.submit(_run_single, problem, config, M) for M in config.M_list]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from twolevelfem import cli
 from twolevelfem.analysis import h1_error
 from twolevelfem.algorithms import galerkin_solve
+from twolevelfem.element import build_quadrature
 from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
 from twolevelfem.solver import SolverError
@@ -237,8 +238,9 @@ def test_parallel_rows_count_together_against_memory(monkeypatch):
 
 
 # Peak RSS (ru_maxrss) in MiB of single rows, each run alone through
-# run_experiment in a fresh process (Linux x86-64); the estimate must not
-# fall below them.
+# run_experiment in a fresh process (Linux x86-64): the highest each row has
+# measured, under the COO assembly; with the R X product they peak at 196,
+# 500, 359, 334, 482, 244, 672 and 83.  The estimate must not fall below them.
 MEASURED_PEAKS = [
     ("two-grid", 3, None, 9, 232), ("two-grid", 3, None, 12, 629),
     ("two-grid", 1, None, 20, 431), ("galerkin", 2, None, 200, 466),
@@ -291,6 +293,34 @@ def test_each_mesh_builds_its_affine_map_once_per_row(
                                      M_list=(2, 3), error_against=error_against))
     assert len(built) == 2 * meshes_per_row
     assert len({id(mesh) for mesh in built}) == len(built)
+
+
+@pytest.mark.parametrize("algorithm,s,error_against", [
+    ("two-level", 6, "interpolant"),
+    ("two-grid", None, "exact"),
+    ("galerkin", None, "interpolant"),
+])
+def test_no_quadrature_rule_is_built_once_rows_are_timed(
+        algorithm, s, error_against, monkeypatch):
+    """Every rule a row reads is built before the first time_run, so no
+    row's cpu_seconds holds a rule's eigenvalue solve.  Built inside the
+    timer, they took 1.7-2.6 ms of the first ex1 3->6 M=9 row of a process
+    (38-45 ms, against 31-40 ms for its repeats), where criterion 7 reads
+    its ratio."""
+    build_quadrature.cache_clear()
+    misses, timer = [], cli.time_run
+
+    def time_run(procedure):
+        misses.append(build_quadrature.cache_info().misses)
+        result = timer(procedure)
+        misses.append(build_quadrature.cache_info().misses)
+        return result
+
+    monkeypatch.setattr(cli, "time_run", time_run)
+    cli.run_experiment(cli.RunConfig(example="1", algorithm=algorithm, l=3, s=s, k=2,
+                                     M_list=(2, 3), error_against=error_against))
+    assert len(misses) == 4
+    assert build_quadrature.cache_info().misses == misses[0] > 0
 
 
 def test_round_count_is_bounded_except_for_galerkin():
