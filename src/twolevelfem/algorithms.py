@@ -12,6 +12,11 @@ Both iterative schemes alternate two solves, starting from the zero iterate:
 the same polynomial degree; "two-level" keeps the mesh and raises the degree
 instead, which is what makes its coarse-plus-SPD work so much cheaper than a
 straight fine Galerkin solve.
+
+Solves and rounds see only the interior unknowns, the leading block of each
+assembled matrix, and the returned coefficients get their boundary zeros
+once.  The fine stiffness is factored before any other fine operator is
+built, so no other fine matrix sits beside SuperLU's work arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness
+from .assembly import (ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness,
+                       check_elliptic)
 from .mesh import Mesh
 from .solver import make_factor
 from .space import FeSpace, build_prolongation, build_space
@@ -34,93 +40,90 @@ class IterateState:
     residual_history: list
 
 
-def _interior_solve(solve, rhs: np.ndarray, space: FeSpace) -> np.ndarray:
-    """`solve` on the interior entries of `rhs`, returned with the zero
-    boundary values appended: a full coefficient vector of `space`."""
-    x = solve(rhs[:space.n_interior])[0]
-    return np.concatenate([x, np.zeros(space.n_dofs_total - len(x))])
+def _interior_operator(space: FeSpace, spec: ProblemSpec):
+    """The interior block of the full operator A + Npart on `space`.  Each
+    full matrix is sliced as soon as it is assembled, and the sum copied
+    once: scipy keeps it in buffers sized for both terms."""
+    n = space.n_interior
+    K = assemble_stiffness(space, spec)[:n, :n] + assemble_nonsym(space, spec)[:n, :n]
+    return K.copy()
 
 
 class IterationOperators:
     """Assembled operators shared by every round of the correction iteration.
 
-    Holds the fine stiffness/lower-order/load triple, the coarse full
-    operator (assembled directly on the coarse space, not projected), the
-    prolongation between them, and ready factorizations of both interior
-    blocks.  The interior DOFs lead each space's numbering, so an interior
-    block is the leading block of a matrix and an interior right-hand side
-    the leading entries of a vector.
+    Holds only what the rounds read, on the interior DOFs: the fine
+    stiffness/lower-order/load triple, the prolongation between the coarse
+    and fine interiors, and ready factorizations of the fine stiffness and of
+    the coarse full operator (assembled directly on the coarse space, not
+    projected).  The interior DOFs lead each space's numbering, so each block
+    is the leading block of an assembled matrix.  Iterates vanish on the
+    boundary and a coarse interior basis function vanishes at every fine
+    boundary node, so no boundary row or column enters a round.
     """
 
     def __init__(self, spec: ProblemSpec, coarse: FeSpace, fine: FeSpace,
                  solver: str = "direct"):
-        self.coarse = coarse
-        self.fine = fine
         # build_prolongation accepts only a same-mesh degree raise, a nested
-        # refinement at equal degree, and the identity pair refused below.
-        self.prolong = build_prolongation(coarse, fine).matrix
+        # refinement at equal degree, and the identity pair refused here.
         if fine.mesh.M == coarse.mesh.M and fine.degree == coarse.degree:
             raise ValueError(
                 f"fine space must be a proper enlargement of the coarse one "
                 f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
             )
-
-        self.A_fine = assemble_stiffness(fine, spec)
-        self.N_fine = assemble_nonsym(fine, spec)
-        self.F_fine = assemble_load(fine, spec.f)
-
-        A_coarse = assemble_stiffness(coarse, spec)
-        N_coarse = assemble_nonsym(coarse, spec)
-
-        self.coarse_interior = np.arange(coarse.n_interior)
-
+        check_elliptic(fine, spec)
+        self.coarse = coarse
+        self.fine = fine
         nf, nc = fine.n_interior, coarse.n_interior
-        self._solve_fine_spd = make_factor(self.A_fine[:nf, :nf], solver)
-        self._solve_coarse = make_factor((A_coarse + N_coarse)[:nc, :nc], solver)
+        self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
+        self._solve_fine_spd = make_factor(self.A_fine, solver)
+        self.prolong = build_prolongation(coarse, fine).matrix[:nf, :nc]
+        self.N_fine = assemble_nonsym(fine, spec)[:nf, :nf]
+        self.F_fine = assemble_load(fine, spec.f)[:nf]
+        self._solve_coarse = make_factor(_interior_operator(coarse, spec), solver)
 
     def fine_operator_apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply the full fine operator A + Npart."""
+        """Apply the full fine operator A + Npart to an interior vector."""
         return self.A_fine @ u + self.N_fine @ u
 
     def correction(self, u: np.ndarray) -> np.ndarray:
         """Coarse correction step: solve the full coarse operator against the
-        restricted fine residual.  Returns a full-length coarse vector that is
-        zero on the boundary."""
+        restricted fine residual.  Returns an interior coarse vector."""
         residual = self.F_fine - self.fine_operator_apply(u)
-        return _interior_solve(self._solve_coarse, self.prolong.T @ residual, self.coarse)
+        return self._solve_coarse(self.prolong.T @ residual)[0]
 
     def update(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
         """SPD update step: shift the lower-order terms of u + e to the load
         side and solve the fine stiffness system."""
-        rhs = self.F_fine - self.N_fine @ (u + self.prolong @ e)
-        return _interior_solve(self._solve_fine_spd, rhs, self.fine)
+        return self._solve_fine_spd(self.F_fine - self.N_fine @ (u + self.prolong @ e))[0]
 
     def fine_residual(self, u: np.ndarray) -> float:
         """Relative residual of the full fine system at the iterate u."""
-        n = self.fine.n_interior
-        r = (self.F_fine - self.fine_operator_apply(u))[:n]
-        norm_f = np.linalg.norm(self.F_fine[:n])
+        r = self.F_fine - self.fine_operator_apply(u)
+        norm_f = np.linalg.norm(self.F_fine)
         return float(np.linalg.norm(r) / norm_f) if norm_f > 0 else float(np.linalg.norm(r))
 
 
 def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
-    """Run k rounds of (coarse correction, SPD update) from the zero iterate."""
+    """Run k rounds of (coarse correction, SPD update) from the zero iterate;
+    the state holds the fine coefficients with their zero boundary values."""
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
-    u = np.zeros(ops.fine.n_dofs_total)
+    u = np.zeros(ops.fine.n_interior)
     history = []
     for _ in range(k):
         u = ops.update(u, ops.correction(u))
         history.append(ops.fine_residual(u))
-    return IterateState(u, history)
+    return IterateState(np.pad(u, (0, ops.fine.n_dofs_total - len(u))), history)
 
 
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:
     """Solve the full discretization on one space; coefficients include the
     zero boundary values."""
-    n = space.n_interior
-    K = (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
-    return _interior_solve(make_factor(K, solver), assemble_load(space, spec.f), space)
+    check_elliptic(space, spec)
+    solve = make_factor(_interior_operator(space, spec), solver)
+    x = solve(assemble_load(space, spec.f)[:space.n_interior])[0]
+    return np.pad(x, (0, space.n_dofs_total - len(x)))
 
 
 def two_level_iterate(spec: ProblemSpec, coarse_degree: int, fine_degree: int,

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import QuadratureRule, build_quadrature, tabulate_basis
-from .space import FeSpace, checked_field
+from .space import CoefficientError, FeSpace, checked_field
 
 # Elements per vectorized assembly block; bounds the size of the per-block
 # coefficient arrays regardless of mesh size.
@@ -102,6 +102,19 @@ def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
     R = sp.csr_matrix((np.ones(n_rows), dofs.ravel(), np.arange(n_rows + 1)),
                       shape=(n_rows, n)).T.tocsr()
     return R @ X
+
+
+def check_elliptic(space: FeSpace, spec: ProblemSpec) -> None:
+    """Raise CoefficientError unless the symmetric part of alpha is positive
+    definite (a > 0 and det > 0 per 2x2) at every assembly point of `space`,
+    as ellipticity and the correction iteration's SPD fine solve need."""
+    for _, pts, wdet, _ in element_blocks(space, default_assembly_quadrature(space.degree)):
+        alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
+        a, d, off = ((alpha, alpha, 0.0) if alpha.ndim == 2 else   # scalar: alpha I
+                     (alpha[..., 0, 0], alpha[..., 1, 1], alpha[..., 0, 1] + alpha[..., 1, 0]))
+        if not np.all((a > 0) & (4 * a * d > off * off)):
+            raise CoefficientError("alpha's symmetric part is not positive definite "
+                                   "at some assembly point")
 
 
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:

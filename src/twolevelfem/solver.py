@@ -65,7 +65,9 @@ def _residual_floor(A, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
     rounds terms of size |A| |x| + |b|, so a backward-stable solve at that scale
     times machine epsilon is as exact as the arithmetic allows.  The floor
     exceeds TOL on large systems whose loads are small against the stiffness."""
-    scale = np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))
+    # |A| over the CSR A's own index arrays, which abs(A) would copy.
+    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    scale = np.linalg.norm(abs_A @ np.abs(x) + np.abs(b))
     return 8.0 * np.finfo(float).eps * float(scale) / norm_b
 
 
@@ -106,14 +108,17 @@ class DirectFactor:
     the certified loop."""
 
     def __init__(self, A: sp.spmatrix):
+        # Canonical CSR in place, so that A.T is the CSC form of A^T with no
+        # copy: SuperLU factors A^T and each solve applies its transpose.
         self.A = A.tocsr()
+        self.A.sum_duplicates()
         try:
-            self._lu = spla.splu(sp.csc_matrix(A), permc_spec="NATURAL")
+            self._lu = spla.splu(self.A.T, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError(f"direct factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        return _certified(self.A, b, lambda r: (self._lu.solve(r), 0), "direct")
+        return _certified(self.A, b, lambda r: (self._lu.solve(r, trans="T"), 0), "direct")
 
 
 def _krylov_solve(A, b) -> tuple[np.ndarray, SolveReport]:
@@ -143,6 +148,7 @@ def make_factor(A: sp.spmatrix, solver: str = "direct"
     call) or "iterative" (restarted GMRES from scratch on every call).
     Raises SolverError on breakdown, singularity or a stalled residual.
     """
+    A = A.tocsr()
     if solver == "iterative":
         return lambda b: _krylov_solve(A, b)
     if solver != "direct":

@@ -1,9 +1,12 @@
 """Correction iterations: configuration, degeneracies, convergence behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twolevelfem import (
+    CoefficientError,
     IterationOperators,
     ProblemSpec,
     build_space,
@@ -16,6 +19,7 @@ from twolevelfem import (
     run_correction_iteration,
     two_level_iterate,
 )
+from twolevelfem import algorithms
 from twolevelfem.cli import RunConfig, UsageError, run_experiment
 from twolevelfem.problems import example_1, example_2
 
@@ -133,12 +137,51 @@ def test_coarse_residual_orthogonality_after_step_one():
     coarse = build_space(mesh, 2)
     fine = build_space(mesh, 4)
     ops = IterationOperators(problem, coarse, fine)
-    u = np.zeros(fine.n_dofs_total)
+    u = np.zeros(fine.n_interior)
     e = ops.correction(u)
     residual = ops.F_fine - ops.fine_operator_apply(u + ops.prolong @ e)
-    restricted = (ops.prolong.T @ residual)[ops.coarse_interior]
-    scale = np.linalg.norm((ops.prolong.T @ ops.F_fine)[ops.coarse_interior])
+    restricted = ops.prolong.T @ residual
+    scale = np.linalg.norm(ops.prolong.T @ ops.F_fine)
     assert np.abs(restricted).max() <= 1e-10 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],
+                         ids=["two-level", "two-grid"])
+def test_operators_hold_interior_blocks_and_factor_the_fine_stiffness_first(
+        fine_mesh, fine_degree, monkeypatch):
+    """The rounds read no boundary row: every fine block the operators hold
+    has n_interior rows.  The fine SPD factor runs before the fine Npart is
+    assembled, so no other fine matrix is alive while SuperLU works."""
+    calls = []
+    factor, nonsym = algorithms.make_factor, algorithms.assemble_nonsym
+    monkeypatch.setattr(algorithms, "make_factor", lambda A, solver="direct": (
+        calls.append(("factor", A.shape[0])) or factor(A, solver)))
+    monkeypatch.setattr(algorithms, "assemble_nonsym", lambda space, spec: (
+        calls.append(("nonsym", space)) or nonsym(space, spec)))
+    mesh = build_structured_mesh(3)
+    coarse = build_space(mesh, 2)
+    fine = build_space(refine_nested(mesh, fine_mesh // 3), fine_degree)
+    ops = IterationOperators(example_1(), coarse, fine)
+    nf = fine.n_interior
+    assert ops.A_fine.shape == ops.N_fine.shape == (nf, nf)
+    assert ops.F_fine.shape == (nf,)
+    assert ops.prolong.shape == (nf, coarse.n_interior)
+    assert calls.index(("factor", nf)) < calls.index(("nonsym", fine))
+
+
+def test_non_elliptic_alpha_is_refused_before_any_solve():
+    """An alpha whose symmetric part is not positive definite at some
+    assembly point is refused by the Galerkin solve and the correction
+    iteration alike; it has no SPD stiffness to factor."""
+    mesh = build_structured_mesh(4)
+    for alpha in [lambda x, y: -np.ones_like(x),
+                  lambda x, y: np.where(x < 0.5, 1.0, -1.0),
+                  lambda x, y: np.broadcast_to(np.diag([1.0, -1.0]), np.shape(x) + (2, 2))]:
+        problem = dataclasses.replace(example_1(), alpha=alpha)
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            galerkin_solve(build_space(mesh, 2), problem)
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            IterationOperators(problem, build_space(mesh, 3), build_space(mesh, 6))
 
 
 def test_iterate_contracts_to_fine_galerkin_solution():

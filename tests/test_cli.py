@@ -239,8 +239,9 @@ def test_parallel_rows_count_together_against_memory(monkeypatch):
 
 # Peak RSS (ru_maxrss) in MiB of single rows, each run alone through
 # run_experiment in a fresh process (Linux x86-64): the highest each row has
-# measured, under the COO assembly; with the R X product they peak at 196,
-# 500, 359, 334, 482, 244, 672 and 83.  The estimate must not fall below them.
+# measured, under the COO assembly; with interior blocks only and the fine
+# stiffness factored first they peak at 177, 440, 345, 312, 424, 222, 561
+# and 80.  The estimate must not fall below them.
 MEASURED_PEAKS = [
     ("two-grid", 3, None, 9, 232), ("two-grid", 3, None, 12, 629),
     ("two-grid", 1, None, 20, 431), ("galerkin", 2, None, 200, 466),
@@ -498,6 +499,40 @@ def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+EXAMPLE_1_WITH_ALPHA = """
+import dataclasses
+import numpy as np
+from twolevelfem.problems import example_1
+
+PROBLEM = dataclasses.replace(example_1(), alpha=lambda x, y: {})
+"""
+
+
+def test_alpha_needs_a_positive_definite_symmetric_part(tmp_path, capsys):
+    """alpha = -1 and the symmetric indefinite diag(1, -1) are refused with
+    exit 2 and no table; the nonsymmetric [[1, 1/2], [-1/2, 1]], whose
+    symmetric part is I, gives example 1's operator and its row."""
+    argv = ["--algorithm", "two-level", "--l", "3", "--s", "6", "--M", "4"]
+    for alpha in ["-np.ones_like(x)",
+                  "np.broadcast_to(np.diag([1.0, -1.0]), np.shape(x) + (2, 2))"]:
+        path = tmp_path / "alpha.py"
+        path.write_text(EXAMPLE_1_WITH_ALPHA.format(alpha))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--example", str(path), *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "alpha's symmetric part is not positive definite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+    path.write_text(EXAMPLE_1_WITH_ALPHA.format(
+        "np.broadcast_to([[1.0, 0.5], [-0.5, 1.0]], np.shape(x) + (2, 2))"))
+    code, skew = run_main(["--example", str(path), *argv], capsys)
+    assert code == 0
+    _, plain = run_main(["--example", "1", *argv], capsys)
+    [skew_row, plain_row] = [out.strip().split("\n")[1].split(",") for out in (skew.out, plain.out)]
+    assert float(skew_row[7]) == pytest.approx(float(plain_row[7]), rel=1e-6)
 
 
 COMPLEX_PROBLEM = """
