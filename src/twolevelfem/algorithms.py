@@ -3,7 +3,7 @@
 Both iterative schemes alternate two solves, starting from the zero iterate:
 
 1. a coarse solve with the full (nonsymmetric) operator for a correction e,
-   driven by the residual of the current fine iterate, and
+   driven by the fine residual that ended the last round (F at first), and
 2. a fine solve with only the symmetric positive definite stiffness part,
    whose right-hand side moves the lower-order terms of the current guess
    u + e to the load side.
@@ -28,7 +28,7 @@ import numpy as np
 from .assembly import (ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness,
                        check_elliptic)
 from .mesh import Mesh
-from .solver import make_factor
+from .solver import TOL, SolverError, make_factor
 from .space import FeSpace, build_prolongation, build_space
 
 
@@ -72,7 +72,6 @@ class IterationOperators:
                 f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
             )
         check_elliptic(fine, spec)
-        self.coarse = coarse
         self.fine = fine
         nf, nc = fine.n_interior, coarse.n_interior
         self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
@@ -82,39 +81,39 @@ class IterationOperators:
         self.F_fine = assemble_load(fine, spec.f)[:nf]
         self._solve_coarse = make_factor(_interior_operator(coarse, spec), solver)
 
-    def fine_operator_apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply the full fine operator A + Npart to an interior vector."""
-        return self.A_fine @ u + self.N_fine @ u
-
-    def correction(self, u: np.ndarray) -> np.ndarray:
+    def correction(self, r: np.ndarray) -> np.ndarray:
         """Coarse correction step: solve the full coarse operator against the
-        restricted fine residual.  Returns an interior coarse vector."""
-        residual = self.F_fine - self.fine_operator_apply(u)
-        return self._solve_coarse(self.prolong.T @ residual)[0]
+        restriction of the fine residual r.  Returns an interior coarse vector."""
+        return self._solve_coarse(self.prolong.T @ r)[0]
 
     def update(self, u: np.ndarray, e: np.ndarray) -> np.ndarray:
         """SPD update step: shift the lower-order terms of u + e to the load
         side and solve the fine stiffness system."""
         return self._solve_fine_spd(self.F_fine - self.N_fine @ (u + self.prolong @ e))[0]
 
-    def fine_residual(self, u: np.ndarray) -> float:
-        """Relative residual of the full fine system at the iterate u."""
-        r = self.F_fine - self.fine_operator_apply(u)
-        norm_f = np.linalg.norm(self.F_fine)
-        return float(np.linalg.norm(r) / norm_f) if norm_f > 0 else float(np.linalg.norm(r))
+    def fine_residual(self, u: np.ndarray) -> np.ndarray:
+        """F - (A + Npart) u: the one place the full fine operator is applied."""
+        return self.F_fine - (self.A_fine @ u + self.N_fine @ u)
 
 
 def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
     """Run k rounds of (coarse correction, SPD update) from the zero iterate;
-    the state holds the fine coefficients with their zero boundary values."""
+    the state holds the fine coefficients with their zero boundary values.
+    A round that does not lower the residual's norm over |F| (1 at the zero
+    iterate) while it is above 1e3 * TOL raises SolverError."""
     if k < 1:
         raise ValueError(f"iteration count must be >= 1, got {k}")
-    u = np.zeros(ops.fine.n_interior)
-    history = []
+    u, r = np.zeros(ops.fine.n_interior), ops.F_fine
+    norm_f = np.linalg.norm(ops.F_fine) or 1.0
+    history = [1.0]
     for _ in range(k):
-        u = ops.update(u, ops.correction(u))
-        history.append(ops.fine_residual(u))
-    return IterateState(np.pad(u, (0, ops.fine.n_dofs_total - len(u))), history)
+        u = ops.update(u, ops.correction(r))
+        r = ops.fine_residual(u)
+        history.append(float(np.linalg.norm(r) / norm_f))
+        if not (history[-1] < history[-2] or history[-1] <= 1e3 * TOL):
+            raise SolverError("the correction rounds do not contract: relative fine "
+                              f"residual by round {', '.join(f'{h:.2e}' for h in history[1:])}")
+    return IterateState(np.pad(u, (0, ops.fine.n_dofs_total - len(u))), history[1:])
 
 
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:

@@ -311,8 +311,8 @@ def _iteration_failures():
     mesh3 = build_structured_mesh(3)
     ops = IterationOperators(problem, build_space(mesh3, 2), build_space(mesh3, 4))
     u0 = np.zeros(ops.fine.n_interior)
-    e = ops.correction(u0)
-    residual = ops.F_fine - ops.fine_operator_apply(u0 + ops.prolong @ e)
+    e = ops.correction(ops.fine_residual(u0))
+    residual = ops.fine_residual(u0 + ops.prolong @ e)
     restricted = ops.prolong.T @ residual
     scale = max(1.0, np.max(np.abs(ops.prolong.T @ ops.F_fine)))
     if np.max(np.abs(restricted)) > 1e-10 * scale:

@@ -1,6 +1,7 @@
 """Correction iterations: configuration, degeneracies, convergence behavior."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from twolevelfem import (
     CoefficientError,
     IterationOperators,
     ProblemSpec,
+    SolverError,
     build_space,
     build_structured_mesh,
     galerkin_solve,
@@ -21,7 +23,8 @@ from twolevelfem import (
 )
 from twolevelfem import algorithms
 from twolevelfem.cli import RunConfig, UsageError, run_experiment
-from twolevelfem.problems import example_1, example_2
+from twolevelfem.problems import example_1, example_2, get_problem
+from twolevelfem.solver import TOL
 
 
 def two_grid_spaces(M, degree, factor):
@@ -138,11 +141,68 @@ def test_coarse_residual_orthogonality_after_step_one():
     fine = build_space(mesh, 4)
     ops = IterationOperators(problem, coarse, fine)
     u = np.zeros(fine.n_interior)
-    e = ops.correction(u)
-    residual = ops.F_fine - ops.fine_operator_apply(u + ops.prolong @ e)
+    e = ops.correction(ops.fine_residual(u))
+    residual = ops.fine_residual(u + ops.prolong @ e)
     restricted = ops.prolong.T @ residual
     scale = np.linalg.norm(ops.prolong.T @ ops.F_fine)
     assert np.abs(restricted).max() <= 1e-10 * max(1.0, scale)
+
+
+def test_rounds_carry_the_fine_residual():
+    """The residual that ends a round is the next round's right-hand side, so
+    the full fine operator is applied once per round: the first correction
+    gets F itself, the residual of the zero iterate, each later one the very
+    array the last fine_residual returned, and that array's norm over |F| is
+    the round's history entry."""
+    k = 3
+    mesh = build_structured_mesh(3)
+    ops = IterationOperators(example_1(), build_space(mesh, 2), build_space(mesh, 4))
+    residuals, received = [], []
+    fine_residual, correction = ops.fine_residual, ops.correction
+
+    def recorded_residual(u):
+        residuals.append(fine_residual(u))
+        return residuals[-1]
+
+    def recorded_correction(r):
+        received.append(r)
+        return correction(r)
+
+    ops.fine_residual, ops.correction = recorded_residual, recorded_correction
+    history = run_correction_iteration(ops, k).residual_history
+    assert len(residuals) == len(received) == k
+    assert received[0] is ops.F_fine
+    assert all(r is last for r, last in zip(received[1:], residuals))
+    norm_f = np.linalg.norm(ops.F_fine)
+    assert history == [np.linalg.norm(r) / norm_f for r in residuals]
+
+
+NONSYMMETRIC = str(Path(__file__).parent / "problems" / "nonsymmetric.py")
+
+
+@pytest.mark.parametrize(
+    "example, algorithm, M, degree",
+    [(example, "two-level", 9, s) for example in ("1", "2") for s in (4, 5, 6)]
+    + [("1", "two-grid", 9, 3), (NONSYMMETRIC, "two-level", 10, 6),
+       (NONSYMMETRIC, "two-grid", 6, 2)],
+    ids=[f"ex{example}-3to{s}-M9" for example in (1, 2) for s in (4, 5, 6)]
+    + ["ex1-two-grid-M9", "nonsymmetric-3to6-M10", "nonsymmetric-two-grid-P2-M6"],
+)
+def test_rounds_that_level_off_at_roundoff_are_not_refused(
+        monkeypatch, example, algorithm, M, degree):
+    """Fifty rounds of a paper preset or of the nonsymmetric problem contract
+    to a level that roundoff holds; the floor 1e3 * TOL is what lets them
+    through, for with no floor the same rounds are refused."""
+    if algorithm == "two-level":
+        mesh = build_structured_mesh(M)
+        coarse, fine = build_space(mesh, 3), build_space(mesh, degree)
+    else:
+        coarse, fine = two_grid_spaces(M, degree, factor=M)
+    ops = IterationOperators(get_problem(example), coarse, fine)
+    assert run_correction_iteration(ops, 50).residual_history[-1] <= 1e3 * TOL
+    monkeypatch.setattr(algorithms, "TOL", 0.0)
+    with pytest.raises(SolverError, match="do not contract"):
+        run_correction_iteration(ops, 50)
 
 
 @pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],

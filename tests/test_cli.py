@@ -693,6 +693,51 @@ def test_solver_failure_produces_marked_row(capsys, monkeypatch):
         assert cells[9] == ""
 
 
+PROBE_PROBLEM = """
+import numpy as np
+from twolevelfem import ProblemSpec
+
+GAMMA, BETA = {}, {}
+
+def u(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+def grad_u(x, y):
+    return np.pi * np.stack([np.cos(np.pi * x) * np.sin(np.pi * y),
+                             np.sin(np.pi * x) * np.cos(np.pi * y)], axis=-1)
+
+PROBLEM = ProblemSpec(
+    alpha=lambda x, y: np.ones_like(x),
+    beta=lambda x, y: np.stack([np.full_like(x, BETA), np.zeros_like(x)], axis=-1),
+    gamma=lambda x, y: np.full_like(x, GAMMA),
+    f=lambda x, y: (2 * np.pi**2 + GAMMA) * u(x, y) + BETA * grad_u(x, y)[..., 0],
+    exact_u=u, exact_grad_u=grad_u,
+)
+"""
+
+
+@pytest.mark.parametrize("gamma, beta, M, history", [
+    (-200, 300, 2, "1.33e+01"),
+    (-200, 300, 8, "1.34e+00"),
+    (-1000, 0, 8, "3.48e-02, 2.48e-02, 1.46e-01"),
+    (-200, 0, 8, "4.59e-02, 7.82e-03, 8.50e-03"),
+], ids=["gamma-200-beta300-M2", "gamma-200-beta300-M8", "gamma-1000-M8", "gamma-200-M8"])
+def test_rows_whose_rounds_do_not_contract_are_marked(tmp_path, capsys, gamma, beta, M, history):
+    """alpha = 1, u = sin(pi x) sin(pi y), two-level 1->3, k = 3: the coarse
+    mesh is too coarse for these reactions and convections, and the fine
+    residual grows or stalls (H1 errors 2.8e5, 1.2e4, 3.97 and 0.50 at k = 3
+    against a solution of H1 norm 2.28).  The row is marked, the warning
+    lists the relative fine residual of each round, and the exit status is 1."""
+    path = tmp_path / "probe.py"
+    path.write_text(PROBE_PROBLEM.format(gamma, beta))
+    code, captured = run_main(["--example", str(path), "--algorithm", "two-level", "--l", "1",
+                               "--s", "3", "--k", "3", "--M", str(M)], capsys)
+    assert code == 1
+    assert (f"M={M} failed: the correction rounds do not contract: relative fine "
+            f"residual by round {history}\n") in captured.err
+    assert captured.out.strip().split("\n")[1].split(",")[7:] == ["nan", "nan", ""]
+
+
 def test_reference_two_level_row(capsys):
     """Degree 3 to 6 run on an 81-cell-per-side-equivalent setup: the scaled
     error column reproduces the frozen reference value."""
