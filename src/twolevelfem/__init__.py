@@ -12,7 +12,6 @@ from .algorithms import (
     IterationOperators,
     galerkin_solve,
     run_correction_iteration,
-    two_level_iterate,
 )
 from .analysis import (
     ExperimentRow,
@@ -95,5 +94,4 @@ __all__ = [
     "run_correction_iteration",
     "tabulate_basis",
     "time_run",
-    "two_level_iterate",
 ]

@@ -11,7 +11,8 @@ Both iterative schemes alternate two solves, starting from the zero iterate:
 "Two-grid" takes the fine space on a nested refinement of the coarse mesh at
 the same polynomial degree; "two-level" keeps the mesh and raises the degree
 instead, which is what makes its coarse-plus-SPD work so much cheaper than a
-straight fine Galerkin solve.
+straight fine Galerkin solve.  The caller builds both spaces; nothing here
+builds a mesh or a space.
 
 Solves and rounds see only the interior unknowns, the leading block of each
 assembled matrix, and the returned coefficients get their boundary zeros
@@ -27,9 +28,8 @@ import numpy as np
 
 from .assembly import (ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness,
                        check_elliptic)
-from .mesh import Mesh
 from .solver import TOL, SolverError, make_factor
-from .space import FeSpace, build_prolongation, build_space
+from .space import FeSpace, build_prolongation
 
 
 @dataclass
@@ -123,11 +123,3 @@ def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") ->
     solve = make_factor(_interior_operator(space, spec), solver)
     x = solve(assemble_load(space, spec.f)[:space.n_interior])[0]
     return np.pad(x, (0, space.n_dofs_total - len(x)))
-
-
-def two_level_iterate(spec: ProblemSpec, coarse_degree: int, fine_degree: int,
-                      mesh: Mesh, k: int, solver: str = "direct") -> IterateState:
-    """Correction iteration with both spaces on the same mesh and a raised
-    fine degree (fine_degree >= coarse_degree + 1)."""
-    coarse, fine = build_space(mesh, coarse_degree), build_space(mesh, fine_degree)
-    return run_correction_iteration(IterationOperators(spec, coarse, fine, solver), k)

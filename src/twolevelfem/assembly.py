@@ -58,7 +58,7 @@ def element_blocks(space: FeSpace, quad: QuadratureRule):
     n = space.mesh.n_triangles
     for start in range(0, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
-        pts = v0[block, None, :] + quad.points @ jac[block].swapaxes(1, 2)
+        pts = v0[block, None, :] + (jac[block] @ quad.points.T).swapaxes(1, 2)
         yield block, pts, det[block, None] * quad.weights[None, :], inv[block]
 
 

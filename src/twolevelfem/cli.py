@@ -31,7 +31,6 @@ from .algorithms import IterationOperators, galerkin_solve, run_correction_itera
 from .analysis import (ExperimentRow, error_quadrature, h1_distance, h1_error,
                        norm_quadrature, time_run)
 from .assembly import ProblemSpec, default_assembly_quadrature
-from .element import build_reference_element
 from .mesh import MAX_SUBDIVISIONS, build_structured_mesh, refine_nested
 from .problems import get_problem
 from .solver import SolverError
@@ -210,13 +209,12 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
         raise UsageError(
             "the experiment tables need exact_u and exact_grad_u on the problem"
         )
-    # Build the cached elements and rules every row reads before any row's
-    # timer starts, so no cpu_seconds holds their eigenvalue solves.
+    # Build the cached rules every row reads before any row's timer starts (the
+    # spaces build the elements), so no cpu_seconds holds an eigenvalue solve.
     error_rule = error_quadrature if config.error_against == "exact" else norm_quadrature
     for M in config.M_list:
         degrees = [p for p, _ in config.spaces(M)]
         for p in degrees:
-            build_reference_element(p)
             default_assembly_quadrature(p)
         error_rule(degrees[-1])
     if config.parallel:

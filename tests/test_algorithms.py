@@ -19,7 +19,6 @@ from twolevelfem import (
     interpolate,
     refine_nested,
     run_correction_iteration,
-    two_level_iterate,
 )
 from twolevelfem import algorithms
 from twolevelfem.cli import RunConfig, UsageError, run_experiment
@@ -116,8 +115,8 @@ def test_galerkin_contains_sextic_solution():
 def test_degenerate_lower_order_two_level_recovers_galerkin():
     spec = poisson_like()
     mesh = build_structured_mesh(4)
-    state = two_level_iterate(spec, 1, 2, mesh, k=1)
     fine = build_space(mesh, 2)
+    state = iterate(spec, build_space(mesh, 1), fine, k=1)
     reference = galerkin_solve(fine, spec)
     assert h1_distance(fine, state.current, reference) <= 1e-10
 
@@ -263,15 +262,16 @@ def test_iterate_contracts_to_fine_galerkin_solution():
 
 def test_fixed_point_when_solution_in_fine_space():
     problem = example_2()
-    state = two_level_iterate(problem, 3, 6, build_structured_mesh(3), k=6)
-    fine = build_space(build_structured_mesh(3), 6)
+    mesh = build_structured_mesh(3)
+    fine = build_space(mesh, 6)
+    state = iterate(problem, build_space(mesh, 3), fine, k=6)
     assert h1_error(fine, state.current, problem.exact_u, problem.exact_grad_u) <= 1e-10
 
 
 def test_iteration_state_bookkeeping():
     problem = example_1()
     mesh = build_structured_mesh(3)
-    state = two_level_iterate(problem, 1, 3, mesh, k=3)
+    state = iterate(problem, build_space(mesh, 1), build_space(mesh, 3), k=3)
     assert len(state.residual_history) == 3
     assert all(np.isfinite(r) for r in state.residual_history)
     assert state.residual_history[-1] <= state.residual_history[0]
@@ -292,11 +292,11 @@ def test_two_grid_rejects_bad_space_pairs():
 
 def test_two_level_rejects_non_increasing_degree():
     problem = example_1()
-    mesh = build_structured_mesh(3)
+    coarse = build_space(build_structured_mesh(3), 3)
     with pytest.raises(ValueError):
-        two_level_iterate(problem, 3, 3, mesh, k=1)
+        IterationOperators(problem, coarse, build_space(coarse.mesh, 3))
     with pytest.raises(ValueError):
-        two_level_iterate(problem, 3, 2, mesh, k=1)
+        IterationOperators(problem, coarse, build_space(coarse.mesh, 2))
 
 
 def test_run_correction_iteration_rejects_zero_rounds():

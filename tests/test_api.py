@@ -15,6 +15,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import twolevelfem
@@ -105,6 +106,30 @@ def test_benchmark_worker_imports_resolve():
         if not hasattr(importlib.import_module(f"twolevelfem.{module}"), attr):
             missing.append(name)
     assert missing == []
+
+
+def test_src_modules_read_every_name_they_import():
+    """Every name a module of the package binds by import is read in that
+    module.  The one excuse is a wrap point: spans.py replaces the module
+    attribute, so a name imported only to be wrapped there may go unread."""
+    wrapped = {(owner.__name__, attr) for _, owner, attr, _, _ in load_spans().wrap_points()
+               if isinstance(owner, types.ModuleType)}
+    unread = []
+    for path in sorted(Path(twolevelfem.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = f"twolevelfem.{path.stem}"
+        unread += [f"{module}.{name}" for name in sorted(imported - read)
+                   if (module, name) not in wrapped]
+    assert unread == []
 
 
 def test_package_import_leaves_scipy_special_out():

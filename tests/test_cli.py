@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevelfem import cli
-from twolevelfem.analysis import h1_error
+from twolevelfem.analysis import h1_distance, h1_error
 from twolevelfem.algorithms import galerkin_solve
-from twolevelfem.element import build_quadrature
+from twolevelfem.element import build_quadrature, build_reference_element
 from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
 from twolevelfem.solver import SolverError
-from twolevelfem.space import build_space, dof_count
+from twolevelfem.space import build_space, dof_count, interpolate
 
 HEADER = "M,H,l,s_or_r,k,dofs_coarse,dofs_fine,h1_error,scaled_error,cpu_seconds"
 
@@ -324,6 +324,27 @@ def test_no_quadrature_rule_is_built_once_rows_are_timed(
     assert build_quadrature.cache_info().misses == misses[0] > 0
 
 
+@pytest.mark.parametrize("algorithm,s", [("two-level", 6), ("two-grid", None),
+                                         ("galerkin", None)])
+def test_no_reference_element_is_built_once_a_row_is_timed(algorithm, s, monkeypatch):
+    """A row builds its elements with its spaces, before its timer starts,
+    so run_experiment needs no element step of its own."""
+    build_reference_element.cache_clear()
+    misses, timer = [], cli.time_run
+
+    def time_run(procedure):
+        before = build_reference_element.cache_info().misses
+        result = timer(procedure)
+        misses.append(build_reference_element.cache_info().misses - before)
+        return result
+
+    monkeypatch.setattr(cli, "time_run", time_run)
+    cli.run_experiment(cli.RunConfig(example="1", algorithm=algorithm, l=3, s=s, k=2,
+                                     M_list=(2, 3)))
+    assert misses == [0, 0]
+    assert build_reference_element.cache_info().misses > 0
+
+
 def test_round_count_is_bounded_except_for_galerkin():
     for algorithm, s in [("two-level", 2), ("two-grid", None)]:
         run = dict(example="1", algorithm=algorithm, l=1, s=s, M_list=(2,))
@@ -442,6 +463,25 @@ def test_readme_module_map_names_every_module():
     documented = set(re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE))
     modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
     assert documented == modules - {"__init__"}
+
+
+def test_readme_library_recipe_matches_the_cli_row():
+    """The README's library code makes the same calls as a CLI row: its
+    two-level block, run as written, reproduces the row's h1_error to the
+    bit, and the blocks after it run too."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(blocks[0], namespace)
+        fine, state, problem = namespace["fine"], namespace["state"], namespace["problem"]
+        error = h1_distance(fine, state.current, interpolate(fine, problem.exact_u))
+        [row] = cli.run_experiment(cli.RunConfig("1", "two-level", 3, 6, 3, (9,)))
+        assert error == row.h1_error
+        for block in blocks[1:]:
+            exec(block, namespace)
 
 
 BAD_PROBLEM = """
