@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness,
-                       check_elliptic)
+from .assembly import ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness
 from .solver import TOL, SolverError, make_factor
 from .space import FeSpace, build_prolongation
 
@@ -71,7 +70,6 @@ class IterationOperators:
                 f"fine space must be a proper enlargement of the coarse one "
                 f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
             )
-        check_elliptic(fine, spec)
         self.fine = fine
         nf, nc = fine.n_interior, coarse.n_interior
         self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
@@ -119,7 +117,6 @@ def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:
     """Solve the full discretization on one space; coefficients include the
     zero boundary values."""
-    check_elliptic(space, spec)
     solve = make_factor(_interior_operator(space, spec), solver)
     x = solve(assemble_load(space, spec.f)[:space.n_interior])[0]
     return np.pad(x, (0, space.n_dofs_total - len(x)))

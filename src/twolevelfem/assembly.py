@@ -104,27 +104,22 @@ def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
     return R @ X
 
 
-def check_elliptic(space: FeSpace, spec: ProblemSpec) -> None:
-    """Raise CoefficientError unless the symmetric part of alpha is positive
-    definite (a > 0 and det > 0 per 2x2) at every assembly point of `space`,
-    as ellipticity and the correction iteration's SPD fine solve need."""
-    for _, pts, wdet, _ in element_blocks(space, default_assembly_quadrature(space.degree)):
-        alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
-        a, d, off = ((alpha, alpha, 0.0) if alpha.ndim == 2 else   # scalar: alpha I
-                     (alpha[..., 0, 0], alpha[..., 1, 1], alpha[..., 0, 1] + alpha[..., 1, 0]))
-        if not np.all((a > 0) & (4 * a * d > off * off)):
-            raise CoefficientError("alpha's symmetric part is not positive definite "
-                                   "at some assembly point")
-
-
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i.
 
     grad phi = inv^T dphi, so the integrand is the sum over a and b of
     (inv alpha inv^T)[a, b] dphi[a, i] dphi[b, j]; a scalar alpha is alpha I.
+    Raises CoefficientError unless a > 0 and 4ad > (b + c)**2 for alpha =
+    [[a, b], [c, d]] at every assembly point (ellipticity: a positive definite
+    symmetric part, which the SPD fine solve needs).
     """
     def coefficient(pts, wdet, inv):
         alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
+        a, d, off = ((alpha, alpha, 0.0) if alpha.ndim == 2 else
+                     (alpha[..., 0, 0], alpha[..., 1, 1], alpha[..., 0, 1] + alpha[..., 1, 0]))
+        if not np.all((a > 0) & (4 * a * d > off * off)):
+            raise CoefficientError("alpha's symmetric part is not positive definite "
+                                   "at some assembly point")
         if alpha.ndim == 2:   # scalar: alpha inv inv^T
             outer = np.einsum("eac,ebc->eab", inv, inv).reshape(-1, 1, 4)
             return (wdet * alpha)[..., None] * outer

@@ -190,7 +190,8 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
 
     Every row takes the same path.  Rows run one after another by default,
     so that cpu_seconds means something; with config.parallel up to
-    POOL_SIZE rows run at once on threads and cpu_seconds is left blank.
+    POOL_SIZE rows run at once on threads and cpu_seconds is left blank;
+    once a row raises, no row that has not started yet starts.
     A sweep whose largest row (the POOL_SIZE largest with config.parallel)
     would not fit in physical memory is refused before any row runs, rather
     than left to the OOM killer.
@@ -219,8 +220,7 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
         error_rule(degrees[-1])
     if config.parallel:
         with ThreadPoolExecutor(max_workers=POOL_SIZE) as pool:
-            futures = [pool.submit(_run_single, problem, config, M) for M in config.M_list]
-            return [f.result() for f in futures]
+            return list(pool.map(lambda M: _run_single(problem, config, M), config.M_list))
     return [_run_single(problem, config, M) for M in config.M_list]
 
 

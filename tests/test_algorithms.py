@@ -11,6 +11,7 @@ from twolevelfem import (
     IterationOperators,
     ProblemSpec,
     SolverError,
+    assemble_stiffness,
     build_space,
     build_structured_mesh,
     galerkin_solve,
@@ -20,7 +21,7 @@ from twolevelfem import (
     refine_nested,
     run_correction_iteration,
 )
-from twolevelfem import algorithms
+from twolevelfem import algorithms, assembly
 from twolevelfem.cli import RunConfig, UsageError, run_experiment
 from twolevelfem.problems import example_1, example_2, get_problem
 from twolevelfem.solver import TOL
@@ -241,6 +242,77 @@ def test_non_elliptic_alpha_is_refused_before_any_solve():
             galerkin_solve(build_space(mesh, 2), problem)
         with pytest.raises(CoefficientError, match="not positive definite"):
             IterationOperators(problem, build_space(mesh, 3), build_space(mesh, 6))
+
+
+NON_ELLIPTIC_ALPHAS = [
+    lambda x, y: -np.ones_like(x),
+    lambda x, y: np.where(x < 0.5, 1.0, -1.0),
+    lambda x, y: np.broadcast_to(np.diag([1.0, -1.0]), np.shape(x) + (2, 2)),
+]
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_stiffness_assembly_refuses_a_non_elliptic_alpha(degree):
+    """The stiffness assembly itself refuses every alpha of
+    test_non_elliptic_alpha_is_refused_before_any_solve and the indefinite
+    [[1, 3/2], [3/2, 1]], whose positive diagonal alone would pass, and
+    accepts a nonsymmetric alpha whose symmetric part is I."""
+    def constant(matrix):
+        return lambda x, y: np.broadcast_to(matrix, np.shape(x) + (2, 2))
+
+    space = build_space(build_structured_mesh(4), degree)
+    for alpha in NON_ELLIPTIC_ALPHAS + [constant([[1.0, 1.5], [1.5, 1.0]])]:
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            assemble_stiffness(space, dataclasses.replace(example_1(), alpha=alpha))
+    problem = dataclasses.replace(example_1(), alpha=constant([[1.0, 0.5], [-0.5, 1.0]]))
+    assert assemble_stiffness(space, problem).shape == (space.n_dofs_total,) * 2
+
+
+def count_walks(monkeypatch):
+    """Count assembly.element_blocks calls per space, by identity."""
+    walks, element_blocks = {}, assembly.element_blocks
+
+    def counted(space, quad):
+        walks[id(space)] = walks.get(id(space), 0) + 1
+        return element_blocks(space, quad)
+
+    monkeypatch.setattr(assembly, "element_blocks", counted)
+    return walks
+
+
+@pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],
+                         ids=["two-level", "two-grid"])
+def test_operators_walk_the_fine_space_three_times(fine_mesh, fine_degree, monkeypatch):
+    """A, Npart and F walk the fine space once each, and the coarse full
+    operator walks the coarse space twice; no separate alpha check walks."""
+    walks = count_walks(monkeypatch)
+    mesh = build_structured_mesh(3)
+    coarse = build_space(mesh, 2)
+    fine = build_space(refine_nested(mesh, fine_mesh // 3), fine_degree)
+    IterationOperators(example_1(), coarse, fine)
+    assert walks == {id(fine): 3, id(coarse): 2}
+
+
+def test_galerkin_walks_its_space_three_times(monkeypatch):
+    walks = count_walks(monkeypatch)
+    space = build_space(build_structured_mesh(3), 2)
+    galerkin_solve(space, example_1())
+    assert walks == {id(space): 3}
+
+
+def test_non_elliptic_alpha_is_refused_before_any_factor(monkeypatch):
+    factors = []
+    factor = algorithms.make_factor
+    monkeypatch.setattr(algorithms, "make_factor", lambda A, solver="direct": (
+        factors.append(A.shape) or factor(A, solver)))
+    mesh = build_structured_mesh(4)
+    for alpha in NON_ELLIPTIC_ALPHAS:
+        problem = dataclasses.replace(example_1(), alpha=alpha)
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            galerkin_solve(build_space(mesh, 2), problem)
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            IterationOperators(problem, build_space(mesh, 3), build_space(mesh, 6))
+    assert factors == []
 
 
 def test_iterate_contracts_to_fine_galerkin_solution():

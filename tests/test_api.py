@@ -132,6 +132,26 @@ def test_src_modules_read_every_name_they_import():
     assert unread == []
 
 
+def test_every_src_definition_is_reachable():
+    """Every top-level function and class of a module is read, as a name or
+    an attribute, in some module of the package other than __init__.py, or
+    is public in __all__: a definition whose last caller went is deleted
+    with it rather than left behind."""
+    paths = [path for path in sorted(Path(twolevelfem.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    defined, read = [], set(twolevelfem.__all__)
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"twolevelfem.{module}.{name}" for module, name in defined if name not in read] == []
+
+
 def test_package_import_leaves_scipy_special_out():
     """The quadrature computes its Gauss-Jacobi nodes with numpy, not
     scipy.special.roots_jacobi: importing scipy.special costs about 60 ms of

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevelfem import (
+    CoefficientError,
     MeshGeometryError,
     ProblemSpec,
     assemble_load,
@@ -242,10 +243,29 @@ def test_assembly_matches_direct_quadrature_on_random_coefficients(case):
     """Every assembled form against the double loop, for random polynomial
     coefficients.  A nonsymmetric matrix alpha tells alpha from alpha^T in
     inv alpha inv^T, which the identity alpha of
-    test_matrix_alpha_matches_scalar_alpha cannot."""
+    test_matrix_alpha_matches_scalar_alpha cannot.  The stiffness refuses a
+    drawn alpha whose symmetric part is not positive definite, so it is also
+    compared on alpha + 25 I, never refused: each drawn polynomial is at most
+    12 in absolute value on the unit square, so a, d >= 13 > |b + c| / 2."""
     space, spec = case
-    error, scale = assembly_errors(space, spec)
-    assert error <= 1e-12 * max(1.0, scale)
+    A_ref, N_ref, F_ref = direct_quadrature(space, spec)
+    assert_matches(assemble_nonsym(space, spec).toarray(), N_ref)
+    assert_matches(assemble_load(space, spec.f), F_ref)
+    try:
+        assert_matches(assemble_stiffness(space, spec).toarray(), A_ref)
+    except CoefficientError as exc:
+        assert "not positive definite" in str(exc)
+    shifted = dataclasses.replace(spec, alpha=lambda x, y: shift_25(spec.alpha(x, y), x))
+    assert_matches(assemble_stiffness(space, shifted).toarray(), direct_quadrature(space, shifted)[0])
+
+
+def shift_25(alpha, x):
+    """alpha + 25 I for the values of a scalar or 2x2 matrix field at x."""
+    return alpha + 25 * (np.eye(2) if np.ndim(alpha) > np.ndim(x) else 1.0)
+
+
+def assert_matches(assembled, reference):
+    assert np.abs(assembled - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
 
 
 def test_galerkin_identity_between_degrees():

@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from twolevelfem.element import build_quadrature, build_reference_element
 from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
 from twolevelfem.solver import SolverError
-from twolevelfem.space import build_space, dof_count, interpolate
+from twolevelfem.space import CoefficientError, build_space, dof_count, interpolate
 
 HEADER = "M,H,l,s_or_r,k,dofs_coarse,dofs_fine,h1_error,scaled_error,cpu_seconds"
 
@@ -235,6 +236,25 @@ def test_parallel_rows_count_together_against_memory(monkeypatch):
     assert len(cli.run_experiment(cli.RunConfig(**run))) == 2
     with pytest.raises(cli.UsageError, match="physical memory"):
         cli.run_experiment(cli.RunConfig(**run, parallel=True))
+
+
+def test_parallel_rows_stop_starting_once_a_row_raises(monkeypatch):
+    """A row that raises under --parallel cancels the rows still queued:
+    with every row raising, at most two pools' worth of rows start."""
+    started = []
+
+    def failing_row(problem, config, M):
+        started.append(M)
+        time.sleep(0.05)
+        raise CoefficientError(f"row {M} fails")
+
+    monkeypatch.setattr(cli, "_run_single", failing_row)
+    monkeypatch.setattr(cli, "POOL_SIZE", 2)
+    config = cli.RunConfig(example="1", algorithm="two-level", l=1, s=2, k=1,
+                           M_list=tuple(range(1, 13)), parallel=True)
+    with pytest.raises(CoefficientError, match="fails"):
+        cli.run_experiment(config)
+    assert 1 <= len(started) <= 2 * cli.POOL_SIZE
 
 
 # Peak RSS (ru_maxrss) in MiB of single rows, each run alone through
