@@ -9,21 +9,22 @@ Examples::
     twolevelfem --dof-table --M 9,10,11,12 --degrees 3,4,5,6
 
 Output is CSV by default (markdown behind --format), written to stdout or to
---output.  Exit status is 0 only if every requested row completed; a usage
-error exits 2 with one line on stderr and no table.
+--output; --help prints the usage.  Exit status is 0 only if every row completed
+with a finite H1 error, else 1.  Every refusal, of a flag or of the problem file,
+exits 2 with one `twolevelfem: error:` line on stderr and nothing on stdout.
 cpu_seconds is perf_counter wall time of operator assembly, prolongation,
-factorizations and solves; it leaves out mesh and space construction and
-error evaluation.  --parallel computes up to POOL_SIZE rows at once, so
-their timings would overlap, and leaves cpu_seconds blank.
+factorizations and solves, not of mesh and space construction or error
+evaluation; --parallel runs POOL_SIZE rows at once and leaves it blank.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from numbers import Integral
 from typing import Optional, Union
 
@@ -167,21 +168,21 @@ def _run_single(problem: ProblemSpec, config: RunConfig, M: int) -> ExperimentRo
 
     try:
         coefficients, seconds = time_run(procedure)
-    except SolverError as exc:
-        print(f"warning: M={M} failed: {exc}", file=sys.stderr)
-        error, seconds, failed = float("nan"), None, True
-    else:
         if config.error_against == "interpolant":
             reference = interpolate(fine_space, problem.exact_u)
             error = h1_distance(fine_space, coefficients, reference)
         else:
             error = h1_error(fine_space, coefficients, problem.exact_u, problem.exact_grad_u)
-        failed = False
+        if not math.isfinite(error):
+            raise SolverError(f"the H1 error of the solution is {error}")
+    except SolverError as exc:
+        print(f"warning: M={M} failed: {exc}", file=sys.stderr)
+        error, seconds = float("nan"), None
     return ExperimentRow(
         M=M, H=1.0 / M, l=config.l, s_or_r=s_or_r, k=k,
         dofs_coarse=coarse.n_dofs_total, dofs_fine=fine_space.n_dofs_total,
         h1_error=error, scaled_error=error * M**config.resolved_scale_exponent(),
-        cpu_seconds=None if config.parallel else seconds, failed=failed,
+        cpu_seconds=None if config.parallel else seconds, failed=math.isnan(error),
     )
 
 
@@ -286,69 +287,74 @@ def _check_output_path(path: Optional[str]) -> None:
         raise UsageError(f"--output {path!r} cannot be written")
 
 
-def _parse_int_list(text: str, what: str) -> tuple:
+def _int_list(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise UsageError(f"{what} must be a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
-def _parse_fine_factor(text: str):
+def _fine_factor(text: str) -> Union[int, str]:
     if text == "square":
-        return "square"
+        return text
     try:
         return int(text)
     except ValueError:
-        raise UsageError(
-            f"--fine-factor must be 'square' or an integer, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"neither 'square' nor an integer: {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every refusal, argparse's own too, is one line on stderr and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twolevelfem",
         description="Convergence experiments for two-level/two-grid solvers "
         "of -div(alpha grad u) + beta . grad u + gamma u = f on the unit square.",
     )
-    parser.add_argument("--example", default=None,
+    parser.add_argument("--example",
                         help="built-in problem 1 or 2, or a path to a Python "
                         "file defining PROBLEM")
-    parser.add_argument("--algorithm", default="two-level",
-                        choices=CHOICES["algorithm"])
+    parser.add_argument("--algorithm", default="two-level", choices=CHOICES["algorithm"],
+                        help="(default %(default)s)")
     parser.add_argument("--l", type=int, default=3, metavar="L",
-                        help="coarse polynomial degree (default 3)")
-    parser.add_argument("--s", type=int, default=None, metavar="S",
+                        help="coarse polynomial degree (default %(default)s)")
+    parser.add_argument("--s", type=int, metavar="S",
                         help="fine polynomial degree for two-level runs")
     parser.add_argument("--k", type=int, default=3, metavar="K",
-                        help="number of correction rounds (default 3)")
-    parser.add_argument("--M", required=True, metavar="LIST",
+                        help="number of correction rounds (default %(default)s)")
+    parser.add_argument("--M", dest="M_list", type=_int_list, required=True, metavar="LIST",
                         help="comma-separated subdivision counts, e.g. 9,10,11,12")
-    parser.add_argument("--fine-factor", default="square", metavar="R",
+    parser.add_argument("--fine-factor", type=_fine_factor, metavar="R",
                         help="two-grid mesh refinement factor, or 'square' for "
-                        "r = M, i.e. h = H^2 (default)")
-    parser.add_argument("--scale-exponent", type=int, default=None, metavar="P",
+                        "r = M, i.e. h = H^2 (default %(default)s)")
+    parser.add_argument("--scale-exponent", type=int, metavar="P",
                         help="report h1_error * M^P (default: s, 2l or l "
                         "depending on the algorithm)")
-    parser.add_argument("--solver", default="direct", choices=CHOICES["solver"],
-                        help="linear solver family (default direct)")
-    parser.add_argument("--mesh-diagonal", default="up", choices=CHOICES["mesh_diagonal"],
-                        help="cell diagonal orientation: up for slope +1 "
-                        "(default), down for slope -1")
-    parser.add_argument("--error-against", default="interpolant",
-                        choices=CHOICES["error_against"],
+    parser.add_argument("--solver", choices=CHOICES["solver"],
+                        help="linear solver family (default %(default)s)")
+    parser.add_argument("--mesh-diagonal", choices=CHOICES["mesh_diagonal"],
+                        help="cell diagonal orientation: up for slope +1, "
+                        "down for slope -1 (default %(default)s)")
+    parser.add_argument("--error-against", choices=CHOICES["error_against"],
                         help="H1 error reference: the nodal interpolant of the "
-                        "exact solution (default), or the exact solution "
-                        "itself via quadrature")
-    parser.add_argument("--format", default="csv", choices=["csv", "markdown"],
-                        dest="output_format")
-    parser.add_argument("--output", default=None, metavar="PATH",
+                        "exact solution, or the exact solution itself via "
+                        "quadrature (default %(default)s)")
+    parser.add_argument("--format", default="csv", choices=["csv", "markdown"])
+    parser.add_argument("--output", metavar="PATH",
                         help="write the table to a file instead of stdout")
     parser.add_argument("--parallel", action="store_true",
                         help="compute rows concurrently; leaves cpu_seconds blank")
     parser.add_argument("--dof-table", action="store_true",
                         help="emit the DOF-count table instead of running experiments")
-    parser.add_argument("--degrees", default="3,4,5,6", metavar="LIST",
-                        help="degrees for --dof-table (default 3,4,5,6)")
+    parser.add_argument("--degrees", type=_int_list, default="3,4,5,6", metavar="LIST",
+                        help="degrees for --dof-table (default %(default)s)")
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)
+                           if f.default is not MISSING})
     return parser
 
 
@@ -359,24 +365,17 @@ def main(argv=None) -> int:
     try:
         _check_output_path(args.output)
         if args.dof_table:
-            header, body = dof_table(
-                _parse_int_list(args.M, "--M"), _parse_int_list(args.degrees, "--degrees")
-            )
+            header, body = dof_table(args.M_list, args.degrees)
         elif args.example is None:
             raise UsageError("--example is required unless --dof-table is given")
         else:
-            rows = run_experiment(RunConfig(
-                example=args.example, algorithm=args.algorithm, l=args.l, s=args.s, k=args.k,
-                M_list=_parse_int_list(args.M, "--M"),
-                fine_factor=_parse_fine_factor(args.fine_factor),
-                scale_exponent=args.scale_exponent, solver=args.solver, parallel=args.parallel,
-                mesh_diagonal=args.mesh_diagonal, error_against=args.error_against,
-            ))
+            rows = run_experiment(RunConfig(**{f.name: getattr(args, f.name)
+                                               for f in fields(RunConfig)}))
             header = CSV_COLUMNS
             body = [[getattr(row, name) for name in CSV_COLUMNS] for row in rows]
     except (UsageError, CoefficientError) as exc:
         parser.error(str(exc))
-    text = render_table(header, body, args.output_format)
+    text = render_table(header, body, args.format)
     if not args.output:
         sys.stdout.write(text)
     else:

@@ -162,42 +162,42 @@ def test_dof_table_markdown(capsys):
     assert "| 1/2 | 25 | 81 |" in captured.out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--example", "1", "--algorithm", "bogus", "--M", "2"],
-        ["--algorithm", "galerkin", "--M", "2"],                       # no example
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "0"],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,x"],
-        ["--example", "1", "--algorithm", "two-level", "--l", "3", "--M", "2"],  # no s
-        ["--example", "1", "--algorithm", "two-level", "--l", "3", "--s", "3", "--M", "2"],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
-         "--mesh-diagonal", "left"],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "7", "--M", "2"],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "5000"],
-        ["--example", "1", "--algorithm", "two-grid", "--M", "65"],  # 65^2 > 4096
-        ["--example", "/nonexistent.py", "--algorithm", "galerkin", "--M", "2"],
-        ["--dof-table", "--M", "2", "--degrees", "7"],
-        ["--dof-table", "--M", "0"],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
-         "--output", "/nonexistent/table.csv"],                     # no such directory
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
-         "--output", "."],                                          # a directory
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "12",
-         "--scale-exponent", "1000"],                               # 12**1000 overflows
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,12",
-         "--scale-exponent", "-1000"],                              # 12**-1000 underflows
-        ["--example", "1", "--algorithm", "two-grid", "--l", "1", "--M", "1,2"],  # r = M = 1
-        ["--example", "1", "--algorithm", "two-level", "--l", "1", "--s", "2",
-         "--k", "1000000000000", "--M", "2"],                       # k > MAX_ROUNDS
-        ["--dof-table", "--M", ""],
-        ["--dof-table", "--M", ","],
-        ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,3",
-         "--output", "x" * 300],                                    # name too long
-        ["--example", "1", "--algorithm", "two-grid", "--M", "64"],  # 151 M fine DOFs
-        ["--example", "1", "--algorithm", "galerkin", "--l", "6", "--M", "4096"],
-    ],
-)
+BAD_USAGE = [
+    ["--example", "1", "--algorithm", "bogus", "--M", "2"],
+    ["--algorithm", "galerkin", "--M", "2"],                       # no example
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "0"],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,x"],
+    ["--example", "1", "--algorithm", "two-level", "--l", "3", "--M", "2"],  # no s
+    ["--example", "1", "--algorithm", "two-level", "--l", "3", "--s", "3", "--M", "2"],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
+     "--mesh-diagonal", "left"],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "7", "--M", "2"],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "5000"],
+    ["--example", "1", "--algorithm", "two-grid", "--M", "65"],  # 65^2 > 4096
+    ["--example", "/nonexistent.py", "--algorithm", "galerkin", "--M", "2"],
+    ["--dof-table", "--M", "2", "--degrees", "7"],
+    ["--dof-table", "--M", "0"],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
+     "--output", "/nonexistent/table.csv"],                     # no such directory
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2",
+     "--output", "."],                                          # a directory
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "12",
+     "--scale-exponent", "1000"],                               # 12**1000 overflows
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,12",
+     "--scale-exponent", "-1000"],                              # 12**-1000 underflows
+    ["--example", "1", "--algorithm", "two-grid", "--l", "1", "--M", "1,2"],  # r = M = 1
+    ["--example", "1", "--algorithm", "two-level", "--l", "1", "--s", "2",
+     "--k", "1000000000000", "--M", "2"],                       # k > MAX_ROUNDS
+    ["--dof-table", "--M", ""],
+    ["--dof-table", "--M", ","],
+    ["--example", "1", "--algorithm", "galerkin", "--l", "1", "--M", "2,3",
+     "--output", "x" * 300],                                    # name too long
+    ["--example", "1", "--algorithm", "two-grid", "--M", "64"],  # 151 M fine DOFs
+    ["--example", "1", "--algorithm", "galerkin", "--l", "6", "--M", "4096"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_USAGE)
 def test_bad_usage_exits_with_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
@@ -210,9 +210,10 @@ def test_an_output_that_fails_at_the_final_write_exits_with_2(monkeypatch, capsy
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--dof-table", "--M", "2", "--output", "x" * 300])
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("twolevelfem: error: --output ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("twolevelfem: error: --output ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("run", [
@@ -451,9 +452,8 @@ def test_parser_accepts_a_run_or_refuses_it_in_one_line(argv):
             assert code == 2
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        lines = err.getvalue().strip().split("\n")
-        assert lines[-1].startswith("twolevelfem: error: ")
-        assert sum("error:" in line for line in lines) == 1
+        assert err.getvalue().startswith("twolevelfem: error: ")
+        assert err.getvalue().count("\n") == 1
         assert out.getvalue() == ""
         return
     assert code in (0, 1)
@@ -525,30 +525,28 @@ PROBLEM = ProblemSpec(
 """
 
 
-@pytest.mark.parametrize(
-    "source, extra, message",
-    [
-        ("PROBLEM = (\n", [], "could not load"),
-        (BAD_PROBLEM.replace("np.zeros(np.shape(x) + (2,))", "np.zeros_like(x)"), [],
-         "beta returned shape"),
-        (BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
-                             "f=lambda x, y: np.full_like(x, np.nan)"), [],
-         "f returned non-finite values"),
-        (BAD_PROBLEM.replace("axis=-1)", "axis=0)"), ["--error-against", "exact"],
-         "exact_grad_u returned shape"),
-        (BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
-                             "return np.full_like(x, np.nan)"), [],
-         "exact_u returned non-finite values"),
-        (BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
-                             "return np.stack([x, y])"), [],
-         "exact_u returned shape"),
-        (BAD_PROBLEM.replace("alpha=lambda x, y: np.ones_like(x)",
-                             "alpha=lambda x, y: 1 / 0"), [],
-         "alpha raised ZeroDivisionError"),
-    ],
-    ids=["syntax-error", "beta-shape", "f-nan", "exact-grad-shape", "exact-u-nan",
-         "exact-u-shape", "alpha-raises"],
-)
+BAD_PROBLEMS = [
+    pytest.param("PROBLEM = (\n", [], "could not load", id="syntax-error"),
+    pytest.param(BAD_PROBLEM.replace("np.zeros(np.shape(x) + (2,))", "np.zeros_like(x)"), [],
+                 "beta returned shape", id="beta-shape"),
+    pytest.param(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
+                                     "f=lambda x, y: np.full_like(x, np.nan)"), [],
+                 "f returned non-finite values", id="f-nan"),
+    pytest.param(BAD_PROBLEM.replace("axis=-1)", "axis=0)"), ["--error-against", "exact"],
+                 "exact_grad_u returned shape", id="exact-grad-shape"),
+    pytest.param(BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
+                                     "return np.full_like(x, np.nan)"), [],
+                 "exact_u returned non-finite values", id="exact-u-nan"),
+    pytest.param(BAD_PROBLEM.replace("return x * (1 - x) * y * (1 - y)",
+                                     "return np.stack([x, y])"), [],
+                 "exact_u returned shape", id="exact-u-shape"),
+    pytest.param(BAD_PROBLEM.replace("alpha=lambda x, y: np.ones_like(x)",
+                                     "alpha=lambda x, y: 1 / 0"), [],
+                 "alpha raised ZeroDivisionError", id="alpha-raises"),
+]
+
+
+@pytest.mark.parametrize("source, extra, message", BAD_PROBLEMS)
 def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message):
     path = tmp_path / "bad.py"
     path.write_text(source)
@@ -568,6 +566,8 @@ from twolevelfem.problems import example_1
 
 PROBLEM = dataclasses.replace(example_1(), alpha=lambda x, y: {})
 """
+NON_ELLIPTIC_ALPHAS = ["-np.ones_like(x)",
+                       "np.broadcast_to(np.diag([1.0, -1.0]), np.shape(x) + (2, 2))"]
 
 
 def test_alpha_needs_a_positive_definite_symmetric_part(tmp_path, capsys):
@@ -575,8 +575,7 @@ def test_alpha_needs_a_positive_definite_symmetric_part(tmp_path, capsys):
     exit 2 and no table; the nonsymmetric [[1, 1/2], [-1/2, 1]], whose
     symmetric part is I, gives example 1's operator and its row."""
     argv = ["--algorithm", "two-level", "--l", "3", "--s", "6", "--M", "4"]
-    for alpha in ["-np.ones_like(x)",
-                  "np.broadcast_to(np.diag([1.0, -1.0]), np.shape(x) + (2, 2))"]:
+    for alpha in NON_ELLIPTIC_ALPHAS:
         path = tmp_path / "alpha.py"
         path.write_text(EXAMPLE_1_WITH_ALPHA.format(alpha))
         with pytest.raises(SystemExit) as excinfo:
@@ -618,6 +617,52 @@ def test_complex_coefficient_values_exit_with_2(tmp_path, capsys):
     assert "f returned complex values" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+PROBLEM_FILE = "<problem file>"   # replaced by the path of the test's problem file
+GALERKIN_ROW = ["--algorithm", "galerkin", "--l", "1", "--M", "2"]
+
+
+@pytest.mark.parametrize("source, argv", [
+    *(pytest.param(None, argv, id=f"usage-{i}") for i, argv in enumerate(BAD_USAGE)),
+    pytest.param(None, ["--example", "1", "--algorithm", "galerkin"], id="no-M"),
+    pytest.param(None, ["--example", "1", "--algorithm", "galerkin", "--k", "x", "--M", "2"],
+                 id="k-not-an-integer"),
+    *(pytest.param(param.values[0], ["--example", PROBLEM_FILE, *GALERKIN_ROW, *param.values[1]],
+                   id=param.id) for param in BAD_PROBLEMS),
+    *(pytest.param(EXAMPLE_1_WITH_ALPHA.format(alpha),
+                   ["--example", PROBLEM_FILE, "--algorithm", "two-level", "--l", "3", "--s", "6",
+                    "--M", "4"], id=f"non-elliptic-alpha-{i}")
+      for i, alpha in enumerate(NON_ELLIPTIC_ALPHAS)),
+    pytest.param(COMPLEX_PROBLEM, ["--example", PROBLEM_FILE, *GALERKIN_ROW], id="complex-f"),
+    pytest.param('raise ValueError("first line\\nsecond line")\n',
+                 ["--example", PROBLEM_FILE, *GALERKIN_ROW], id="two-line-message"),
+])
+def test_every_refusal_is_one_error_line(tmp_path, capsys, source, argv):
+    """Whether the command line or the problem file is at fault, exit 2
+    prints exactly one line on stderr, a multi-line message folded into it,
+    and nothing on stdout."""
+    if source is not None:
+        path = tmp_path / "problem.py"
+        path.write_text(source)
+        argv = [str(path) if arg == PROBLEM_FILE else arg for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("twolevelfem: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--help"])
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: twolevelfem ")
+    assert "(default square)" in captured.out and "(default 3,4,5,6)" in captured.out
+    assert captured.err == ""
 
 
 def test_parallel_rows_match_sequential(capsys):
@@ -751,6 +796,21 @@ def test_solver_failure_produces_marked_row(capsys, monkeypatch):
         cells = captured.out.strip().split("\n")[1].split(",")
         assert cells[7] == "nan" and cells[8] == "nan"
         assert cells[9] == ""
+
+
+def test_row_whose_error_is_not_finite_is_marked(tmp_path, capsys):
+    """f = 1e308 gives a solution whose H1 norm overflows: the row is marked
+    like a failed solve, with a warning, and the exit status is 1."""
+    path = tmp_path / "huge.py"
+    path.write_text(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
+                                        "f=lambda x, y: np.full_like(x, 1e308)"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, captured = run_main(["--example", str(path), "--algorithm", "galerkin",
+                                   "--l", "2", "--M", "3"], capsys)
+    assert code == 1
+    assert "M=3 failed: the H1 error of the solution is inf\n" in captured.err
+    assert captured.out.strip().split("\n")[1].split(",")[7:] == ["nan", "nan", ""]
 
 
 PROBE_PROBLEM = """

@@ -1,5 +1,7 @@
 """Linear solves: direct and Krylov paths, failure reporting, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -88,6 +90,27 @@ def test_singular_matrix_raises():
     report = excinfo.value.report
     assert report.method == "gmres"
     assert report.iterations <= 10 * K.shape[0]
+
+
+def test_gmres_stalls_once_its_budget_is_spent():
+    """GMRES on the cyclic shift cannot lower the residual of e1 before its
+    Krylov space spans all 100 unknowns, which restarts of 50 never reach;
+    the whole budget of 10 iterations per unknown goes to the first solve,
+    and the refinement step finds none left."""
+    n = 100
+    shift = sp.csr_matrix((np.ones(n), np.roll(np.arange(n), 1), np.arange(n + 1)))
+    b = np.zeros(n)
+    b[0] = 1.0
+    with pytest.raises(SolverError, match="stalled") as excinfo:
+        make_factor(shift, "iterative")(b)
+    assert excinfo.value.report.iterations == 10 * n
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+def test_non_finite_matrix_is_refused(solver):
+    with warnings.catch_warnings(), pytest.raises(SolverError, match="non-finite values"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        make_factor(sp.csr_matrix([[np.inf]]), solver)(np.ones(1))
 
 
 def test_zero_rhs_short_circuits():
