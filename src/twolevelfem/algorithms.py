@@ -30,6 +30,8 @@ from .assembly import ProblemSpec, assemble_load, assemble_nonsym, assemble_stif
 from .solver import TOL, SolverError, make_factor
 from .space import FeSpace, build_prolongation
 
+__all__ = ["IterateState", "IterationOperators", "galerkin_solve", "run_correction_iteration"]
+
 
 @dataclass
 class IterateState:

@@ -15,6 +15,9 @@ from .assembly import assemble_nonsym, assemble_stiffness  # noqa: F401
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .space import FeSpace, checked_field
 
+__all__ = ["ExperimentRow", "estimate_orders", "h1_distance", "h1_error", "h1_norm_discrete",
+           "time_run"]
+
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -30,7 +33,11 @@ class ExperimentRow:
     h1_error: float
     scaled_error: float
     cpu_seconds: Optional[float]
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """A failed row carries a NaN error."""
+        return bool(np.isnan(self.h1_error))
 
 
 def error_quadrature(degree: int) -> QuadratureRule:

@@ -23,6 +23,8 @@ import scipy.sparse as sp
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .space import CoefficientError, FeSpace, checked_field
 
+__all__ = ["ProblemSpec", "assemble_load", "assemble_nonsym", "assemble_stiffness"]
+
 # Elements per vectorized assembly block; bounds the size of the per-block
 # coefficient arrays regardless of mesh size.
 _BLOCK = 4096

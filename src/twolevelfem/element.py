@@ -13,6 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["QuadratureRule", "ReferenceElement", "build_quadrature",
+           "build_reference_element", "tabulate_basis"]
+
 # Inverting the monomial Vandermonde is fine up to this degree (its condition
 # number is 4.7e5 at degree 6); beyond it the nodal basis would need a
 # better-conditioned construction.

@@ -20,6 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
+__all__ = ["Mesh", "MeshGeometryError", "MeshSizeError", "build_structured_mesh",
+           "refine_nested"]
+
 MAX_SUBDIVISIONS = 4096
 
 

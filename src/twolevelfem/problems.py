@@ -21,6 +21,8 @@ import numpy as np
 
 from .assembly import ProblemSpec
 
+__all__ = ["example_1", "example_2", "get_problem", "load_problem_file"]
+
 GAMMA = -10.0
 
 

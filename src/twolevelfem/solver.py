@@ -25,6 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+__all__ = ["SolveReport", "SolverError", "make_factor"]
+
 TOL = 1e-12
 _MAX_REFINE = 3
 _KRYLOV_ITERS_PER_UNKNOWN = 10

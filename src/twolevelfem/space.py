@@ -24,6 +24,9 @@ from .element import MAX_DEGREE, ReferenceElement, build_reference_element, latt
 from .element import tabulate_basis
 from .mesh import Mesh, lattice
 
+__all__ = ["CoefficientError", "FeSpace", "Prolongation", "build_prolongation", "build_space",
+           "dof_count", "interpolate"]
+
 # Basis values this small at a lattice point are roundoff from the nodal
 # construction, not genuine couplings; dropping them keeps prolongation
 # matrices at their structural sparsity.

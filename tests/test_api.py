@@ -26,8 +26,22 @@ SPANS = PERFBENCH / "spans.py"
 
 
 def test_all_names_resolve():
+    """__init__.py star-imports each module's __all__ and lists their union:
+    every module it star-imports has an __all__ (else its np, sp and helpers
+    would leak into the package), the union names each public name once and
+    resolves, and the package binds no public name outside it but modules."""
+    init = ast.parse(Path(twolevelfem.__file__).read_text())
+    starred = [node.module for node in init.body if isinstance(node, ast.ImportFrom)
+               and [alias.name for alias in node.names] == ["*"]]
+    assert [module for module in starred
+            if not hasattr(importlib.import_module(f"twolevelfem.{module}"), "__all__")] == []
+    assert len(set(twolevelfem.__all__)) == len(twolevelfem.__all__)
     missing = [name for name in twolevelfem.__all__ if not hasattr(twolevelfem, name)]
     assert missing == []
+    unlisted = [name for name, value in vars(twolevelfem).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)
+                and name not in twolevelfem.__all__]
+    assert unlisted == []
 
 
 def load_spans():

@@ -6,6 +6,8 @@ import importlib
 import io
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -804,13 +806,35 @@ def test_row_whose_error_is_not_finite_is_marked(tmp_path, capsys):
     path = tmp_path / "huge.py"
     path.write_text(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
                                         "f=lambda x, y: np.full_like(x, 1e308)"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, captured = run_main(["--example", str(path), "--algorithm", "galerkin",
-                                   "--l", "2", "--M", "3"], capsys)
+    code, captured = run_main(["--example", str(path), "--algorithm", "galerkin",
+                               "--l", "2", "--M", "3"], capsys)
     assert code == 1
     assert "M=3 failed: the H1 error of the solution is inf\n" in captured.err
     assert captured.out.strip().split("\n")[1].split(",")[7:] == ["nan", "nan", ""]
+
+
+@pytest.mark.parametrize("replace, extra, code, line", [
+    (("f=lambda x, y: np.ones_like(x)", "f=lambda x, y: np.full_like(x, 1e308)"),
+     ["--M", "3"], 1, "warning: M=3 failed: the H1 error of the solution is inf"),
+    (("alpha=lambda x, y: np.ones_like(x)", "alpha=lambda x, y: 1 + np.log(x - 0.5)"),
+     ["--M", "3"], 2, "twolevelfem: error: alpha returned non-finite values"),
+    (("alpha=lambda x, y: np.ones_like(x)", "alpha=lambda x, y: 1 + np.log(x - 0.5)"),
+     ["--M", "3,4", "--parallel"], 2, "twolevelfem: error: alpha returned non-finite values"),
+], ids=["overflow-marked", "log-refused", "log-refused-parallel"])
+def test_numpy_faults_leave_one_stderr_line(tmp_path, replace, extra, code, line):
+    """An overflow in the H1 norm, or a log of a negative number in alpha,
+    ends in the one line of a marked row or of a refusal, with no numpy
+    RuntimeWarning before it.  pytest records warnings instead of printing
+    them, so only a fresh interpreter shows what reaches stderr."""
+    path = tmp_path / "problem.py"
+    path.write_text(BAD_PROBLEM.replace(*replace))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "twolevelfem.cli", "--example", str(path),
+                          "--algorithm", "galerkin", "--l", "2", *extra],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stderr) == (code, line + "\n")
 
 
 PROBE_PROBLEM = """
