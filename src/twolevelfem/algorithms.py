@@ -42,12 +42,10 @@ class IterateState:
 
 
 def _interior_operator(space: FeSpace, spec: ProblemSpec):
-    """The interior block of the full operator A + Npart on `space`.  Each
-    full matrix is sliced as soon as it is assembled, and the sum copied
-    once: scipy keeps it in buffers sized for both terms."""
+    """The interior block of the full operator A + Npart on `space`: one sum,
+    then one slice, whose copy is sized exactly."""
     n = space.n_interior
-    K = assemble_stiffness(space, spec)[:n, :n] + assemble_nonsym(space, spec)[:n, :n]
-    return K.copy()
+    return (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
 
 
 class IterationOperators:

@@ -47,7 +47,8 @@ CHOICES = {   # the fixed values of RunConfig fields, and of their flags
     "error_against": ("interpolant", "exact"),
 }
 
-POOL_SIZE = min(4, os.cpu_count() or 1)   # rows computed at once under --parallel
+POOL_SIZE = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)   # rows computed at once under --parallel
 MAX_ROUNDS = 1000   # even a contraction of 0.97 per round reaches 1e-13 within it
 _BASE_BYTES = 80 * 2**20   # the interpreter with numpy and scipy loaded
 
@@ -215,14 +216,12 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
         raise UsageError(
             "the experiment tables need exact_u and exact_grad_u on the problem"
         )
-    # Build the cached rules every row reads before any row's timer starts (the
-    # spaces build the elements), so no cpu_seconds holds an eigenvalue solve.
-    error_rule = error_quadrature if config.error_against == "exact" else norm_quadrature
-    for M in config.M_list:
-        degrees = [p for p, _ in config.spaces(M)]
-        for p in degrees:
-            default_assembly_quadrature(p)
-        error_rule(degrees[-1])
+    # Build the cached rules every row reads (a row's degrees do not depend on M)
+    # before any row's timer starts, so no cpu_seconds holds an eigenvalue solve.
+    degrees = [p for p, _ in config.spaces(config.M_list[0])]
+    for p in degrees:
+        default_assembly_quadrature(p)
+    (error_quadrature if config.error_against == "exact" else norm_quadrature)(degrees[-1])
     if config.parallel:
         with ThreadPoolExecutor(max_workers=POOL_SIZE) as pool:
             return list(pool.map(lambda M: _run_single(problem, config, M), config.M_list))

@@ -14,7 +14,9 @@ exact gradient for error integration.
 
 from __future__ import annotations
 
+import contextlib
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +111,10 @@ def load_problem_file(path) -> ProblemSpec:
     if not path.is_file():
         raise ValueError(f"problem file not found: {path}")
     try:
-        problem = runpy.run_path(str(path)).get("PROBLEM")
-    except Exception as exc:
-        raise ValueError(f"{path}: could not load: {exc}") from exc
+        with contextlib.redirect_stdout(sys.stderr):   # stdout holds only the table
+            problem = runpy.run_path(str(path)).get("PROBLEM")
+    except (Exception, SystemExit) as exc:
+        raise ValueError(f"{path}: could not load: {type(exc).__name__}: {exc}") from exc
     if not isinstance(problem, ProblemSpec):
         raise ValueError(f"{path} must define PROBLEM as a ProblemSpec instance")
     return problem

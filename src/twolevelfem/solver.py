@@ -109,11 +109,10 @@ class DirectFactor:
     """Reusable sparse LU factorization in the order given; its solves run
     the certified loop."""
 
-    def __init__(self, A: sp.spmatrix):
-        # Canonical CSR in place, so that A.T is the CSC form of A^T with no
-        # copy: SuperLU factors A^T and each solve applies its transpose.
-        self.A = A.tocsr()
-        self.A.sum_duplicates()
+    def __init__(self, A: sp.csr_matrix):
+        # A.T is the CSC form of A^T on A's arrays, which SuperLU sorts in place
+        # into canonical form: it factors A^T and each solve applies its transpose.
+        self.A = A
         try:
             self._lu = spla.splu(self.A.T, permc_spec="NATURAL")
         except RuntimeError as exc:

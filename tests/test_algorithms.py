@@ -232,6 +232,19 @@ def test_operators_hold_interior_blocks_and_factor_the_fine_stiffness_first(
     assert calls.index(("factor", nf)) < calls.index(("nonsym", fine))
 
 
+@pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],
+                         ids=["two-level", "two-grid"])
+def test_rounds_multiply_by_a_sorted_fine_stiffness(fine_mesh, fine_degree):
+    """Assembly leaves each row's column indices unsorted; SuperLU sorts the
+    CSC view it factors in place, on the arrays A_fine shares, so the rounds
+    multiply by a fine stiffness whose rows have strictly increasing columns."""
+    mesh = build_structured_mesh(3)
+    fine = build_space(refine_nested(mesh, fine_mesh // 3), fine_degree)
+    A = IterationOperators(example_1(), build_space(mesh, 2), fine).A_fine
+    assert all(np.all(np.diff(A.indices[start:stop]) > 0)
+               for start, stop in zip(A.indptr[:-1], A.indptr[1:]))
+
+
 def test_non_elliptic_alpha_is_refused_before_any_solve():
     """An alpha whose symmetric part is not positive definite at some
     assembly point is refused by the Galerkin solve and the correction

@@ -214,24 +214,42 @@ def polynomials(count):
     return st.lists(coefficients.map(as_function), min_size=count, max_size=count)
 
 
+def cellwise(count, M):
+    """`count` random fields constant on each cell of the M x M grid, read
+    at (floor(x M), floor(y M)): constants when M = 1."""
+    def as_function(values):
+        table = np.reshape(values, (M, M))
+        cell = lambda t: np.clip(np.floor(np.asarray(t) * M).astype(int), 0, M - 1)
+        return lambda x, y: table[cell(x), cell(y)]
+
+    values = st.lists(st.floats(-2.0, 2.0), min_size=M * M, max_size=M * M)
+    return st.lists(values.map(as_function), min_size=count, max_size=count)
+
+
 @st.composite
 def assembly_cases(draw):
     """A small mesh (both diagonals, optionally with jittered interior
     vertices, so that every triangle has its own Jacobian), a degree 1-4
-    and polynomial coefficients: alpha scalar or a nonsymmetric 2x2 field."""
+    and coefficients alpha (scalar or a nonsymmetric 2x2 field), beta and
+    gamma of one kind: polynomial, constant, or, on an unjittered mesh,
+    constant on each cell, so each is constant on every triangle."""
     mesh = build_structured_mesh(draw(st.integers(1, 2)), draw(st.sampled_from(["down", "up"])))
-    if draw(st.booleans()):
+    jittered = draw(st.booleans())
+    if jittered:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         jitter = rng.uniform(-0.2 / mesh.M, 0.2 / mesh.M, mesh.vertices.shape)
         mesh = dataclasses.replace(
             mesh, vertices=mesh.vertices + jitter * ~lattice(mesh.M)[1][:, None])
+    cells = draw(st.sampled_from([None, 1] if jittered else [None, 1, mesh.M]))
+    fields = polynomials if cells is None else lambda count: cellwise(count, cells)
     if draw(st.booleans()):
-        alpha = draw(polynomials(1))[0]
+        alpha = draw(fields(1))[0]
     else:
-        a = draw(polynomials(4))
+        a = draw(fields(4))
         alpha = lambda x, y: np.stack([np.stack([a[0](x, y), a[1](x, y)], axis=-1),
                                        np.stack([a[2](x, y), a[3](x, y)], axis=-1)], axis=-2)
-    bx, by, gamma, f = draw(polynomials(4))
+    bx, by, gamma = draw(fields(3))
+    f = draw(polynomials(1))[0]
     spec = ProblemSpec(alpha=alpha, beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
                        gamma=gamma, f=f)
     return build_space(mesh, draw(st.integers(1, 4))), spec
@@ -241,11 +259,11 @@ def assembly_cases(draw):
 @given(assembly_cases())
 def test_assembly_matches_direct_quadrature_on_random_coefficients(case):
     """Every assembled form against the double loop, for random polynomial
-    coefficients.  A nonsymmetric matrix alpha tells alpha from alpha^T in
-    inv alpha inv^T, which the identity alpha of
+    and element-constant coefficients.  A nonsymmetric matrix alpha tells
+    alpha from alpha^T in inv alpha inv^T, which the identity alpha of
     test_matrix_alpha_matches_scalar_alpha cannot.  The stiffness refuses a
     drawn alpha whose symmetric part is not positive definite, so it is also
-    compared on alpha + 25 I, never refused: each drawn polynomial is at most
+    compared on alpha + 25 I, never refused: each drawn field is at most
     12 in absolute value on the unit square, so a, d >= 13 > |b + c| / 2."""
     space, spec = case
     A_ref, N_ref, F_ref = direct_quadrature(space, spec)

@@ -6,10 +6,12 @@ import importlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,19 @@ def test_parallel_rows_stop_starting_once_a_row_raises(monkeypatch):
     assert 1 <= len(started) <= 2 * cli.POOL_SIZE
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and at least two CPUs to pin away")
+def test_pool_size_counts_the_cpus_this_process_may_run_on():
+    """A process pinned to one CPU runs one row at a time under --parallel,
+    however many CPUs the machine has."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            f"sys.path.insert(0, {src!r}); from twolevelfem import cli; print(cli.POOL_SIZE)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout == "1\n"
+
+
 # Peak RSS (ru_maxrss) in MiB of single rows, each run alone through
 # run_experiment in a fresh process (Linux x86-64): the highest each row has
 # measured, under the COO assembly; with interior blocks only and the fine
@@ -479,6 +494,24 @@ def test_readme_flags_table_names_every_option():
     assert documented == defined - {"--help"}
 
 
+def test_documented_command_lines_parse_into_a_run():
+    """Every `twolevelfem ...` line of the README's command line section and
+    of cli's docstring, its continuations joined, parses and builds the
+    RunConfig that main would build (or the DOF table), without running a row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sources = [readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0], cli.__doc__]
+    for text in sources:
+        commands = re.findall(r"^\s*twolevelfem (--.*)$", text.replace("\\\n", " "),
+                              flags=re.MULTILINE)
+        assert commands
+        for command in commands:
+            args = cli.build_parser().parse_args(shlex.split(command))
+            if args.dof_table:
+                cli.dof_table(args.M_list, args.degrees)
+            else:
+                cli.RunConfig(**{f.name: getattr(args, f.name) for f in fields(cli.RunConfig)})
+
+
 def test_readme_module_map_names_every_module():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## Module map\n", 1)[1].strip().split("\n\n", 1)[0]
@@ -529,6 +562,7 @@ PROBLEM = ProblemSpec(
 
 BAD_PROBLEMS = [
     pytest.param("PROBLEM = (\n", [], "could not load", id="syntax-error"),
+    pytest.param("import sys\nsys.exit(0)\n", [], "could not load: SystemExit: 0", id="exits"),
     pytest.param(BAD_PROBLEM.replace("np.zeros(np.shape(x) + (2,))", "np.zeros_like(x)"), [],
                  "beta returned shape", id="beta-shape"),
     pytest.param(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)",
@@ -559,6 +593,21 @@ def test_bad_problem_file_exits_with_2(tmp_path, capsys, source, extra, message)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_what_a_problem_file_prints_while_loading_goes_to_stderr(tmp_path, capsys):
+    """stdout carries the table alone: a file that prints, then defines
+    PROBLEM, gives the same stdout as the file without the print."""
+    argv = ["--algorithm", "galerkin", "--l", "1", "--M", "2"]
+    path = tmp_path / "quiet.py"
+    path.write_text(BAD_PROBLEM)
+    code, quiet = run_main(["--example", str(path), *argv], capsys)
+    path = tmp_path / "loud.py"
+    path.write_text('print("loading")\n' + BAD_PROBLEM)
+    loud_code, loud = run_main(["--example", str(path), *argv], capsys)
+    assert code == loud_code == 0
+    assert strip_cpu(loud.out) == strip_cpu(quiet.out)
+    assert loud.err == "loading\n"
 
 
 EXAMPLE_1_WITH_ALPHA = """
