@@ -10,6 +10,9 @@ Galerkin discretization.
 Coefficients are callables of physical coordinates, evaluated on numpy arrays
 of quadrature points.  alpha may return a scalar field or a full 2x2 matrix
 field; beta returns a 2-vector field; gamma and f return scalar fields.
+Where a form's fields are constant on every triangle of a block, that block
+is integrated with the quadrature weights summed into the reference table
+first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
 """
 
 from __future__ import annotations
@@ -69,17 +72,33 @@ def _integrate(space: FeSpace, table, coefficient) -> np.ndarray:
     local[e, m] = sum over q and c of C[e, q, c] T[(q, c), m].
 
     `table(phi, dphi)` builds T from the basis values phi (q, i) and the
-    reference gradients dphi (q, a, i); `coefficient(pts, wdet, inv)` gives
-    C on one block of element_blocks, with the weights and Jacobian in it.
+    reference gradients dphi (q, a, i); `coefficient(pts, wdet, det, inv)`
+    gives C on one block of element_blocks, with the weights and Jacobian in
+    it.  Where _on_triangles finds a block's fields constant on each
+    triangle, C is (e, 1, c), with det in place of wdet, and meets
+    summed[c, m] = sum over q of w_q T[(q, c), m]: one (e, c) x (c, m)
+    product in place of (e, q c) x (q c, m).  The assembly rules have more
+    than one point, so C's shape tells the two apart.
     """
     quad = default_assembly_quadrature(space.degree)
     phi, grads = tabulate_basis(space.element, quad.points)
     flat = table(phi, grads.transpose(0, 2, 1))
+    summed = (quad.weights @ flat.reshape(len(phi), -1)).reshape(-1, flat.shape[1])
+    det = space.mesh.affine[2]
     local = np.empty((space.mesh.n_triangles, flat.shape[1]))
     for block, pts, wdet, inv in element_blocks(space, quad):
-        c = coefficient(pts, wdet, inv)
-        local[block] = c.reshape(len(c), -1) @ flat
+        c = coefficient(pts, wdet, det[block, None], inv)
+        local[block] = c.reshape(len(c), -1) @ (summed if c.shape[1] == 1 else flat)
     return local
+
+
+def _on_triangles(wdet, det, *fields):
+    """(det, each field at the first point of each triangle) when every field
+    is constant, by exact equality, across each triangle's points of the
+    block; (wdet, *fields) unchanged otherwise."""
+    if all(np.all(field == field[:, :1]) for field in fields):
+        return (det, *(field[:, :1] for field in fields))
+    return (wdet, *fields)
 
 
 def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
@@ -115,13 +134,14 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     [[a, b], [c, d]] at every assembly point (ellipticity: a positive definite
     symmetric part, which the SPD fine solve needs).
     """
-    def coefficient(pts, wdet, inv):
+    def coefficient(pts, wdet, det, inv):
         alpha = checked_field(spec.alpha, pts, wdet.shape, "alpha", matrix=True)
         a, d, off = ((alpha, alpha, 0.0) if alpha.ndim == 2 else
                      (alpha[..., 0, 0], alpha[..., 1, 1], alpha[..., 0, 1] + alpha[..., 1, 0]))
         if not np.all((a > 0) & (4 * a * d > off * off)):
             raise CoefficientError("alpha's symmetric part is not positive definite "
                                    "at some assembly point")
+        wdet, alpha = _on_triangles(wdet, det, alpha)
         if alpha.ndim == 2:   # scalar: alpha inv inv^T
             outer = np.einsum("eac,ebc->eab", inv, inv).reshape(-1, 1, 4)
             return (wdet * alpha)[..., None] * outer
@@ -137,9 +157,10 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i."""
-    def coefficient(pts, wdet, inv):
+    def coefficient(pts, wdet, det, inv):
         beta = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
         gamma = checked_field(spec.gamma, pts, wdet.shape, "gamma")
+        wdet, beta, gamma = _on_triangles(wdet, det, beta, gamma)
         # beta . grad phi_j = (inv beta) . dphi_j
         return wdet[..., None] * np.concatenate([beta @ inv.swapaxes(1, 2), gamma[..., None]], -1)
 
@@ -152,8 +173,11 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
     """Assemble F[i] = integral of f phi_i."""
-    local = _integrate(space, lambda phi, dphi: phi,
-                       lambda pts, wdet, inv: wdet * checked_field(f, pts, wdet.shape, "f"))
+    def coefficient(pts, wdet, det, inv):
+        wdet, field = _on_triangles(wdet, det, checked_field(f, pts, wdet.shape, "f"))
+        return wdet * field
+
+    local = _integrate(space, lambda phi, dphi: phi, coefficient)
     return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
                        minlength=space.n_dofs_total)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from twolevelfem import (
     galerkin_solve,
     interpolate,
 )
+from twolevelfem import assembly
 from twolevelfem.assembly import _to_csr, default_assembly_quadrature
 from twolevelfem.element import tabulate_basis
 from twolevelfem.mesh import Mesh, lattice
-from twolevelfem.problems import example_1
+from twolevelfem.problems import example_1, load_problem_file
+
+NONSYMMETRIC = str(Path(__file__).parent / "problems" / "nonsymmetric.py")
 
 
 def constant_problem(beta=(0.0, 0.0), gamma=0.0):
@@ -230,9 +234,9 @@ def cellwise(count, M):
 def assembly_cases(draw):
     """A small mesh (both diagonals, optionally with jittered interior
     vertices, so that every triangle has its own Jacobian), a degree 1-4
-    and coefficients alpha (scalar or a nonsymmetric 2x2 field), beta and
-    gamma of one kind: polynomial, constant, or, on an unjittered mesh,
-    constant on each cell, so each is constant on every triangle."""
+    and coefficients alpha (scalar or a nonsymmetric 2x2 field), beta,
+    gamma and f of one kind: polynomial, constant, or, on an unjittered
+    mesh, constant on each cell, so each is constant on every triangle."""
     mesh = build_structured_mesh(draw(st.integers(1, 2)), draw(st.sampled_from(["down", "up"])))
     jittered = draw(st.booleans())
     if jittered:
@@ -249,7 +253,7 @@ def assembly_cases(draw):
         alpha = lambda x, y: np.stack([np.stack([a[0](x, y), a[1](x, y)], axis=-1),
                                        np.stack([a[2](x, y), a[3](x, y)], axis=-1)], axis=-2)
     bx, by, gamma = draw(fields(3))
-    f = draw(polynomials(1))[0]
+    f = draw(fields(1))[0]
     spec = ProblemSpec(alpha=alpha, beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
                        gamma=gamma, f=f)
     return build_space(mesh, draw(st.integers(1, 4))), spec
@@ -284,6 +288,85 @@ def shift_25(alpha, x):
 
 def assert_matches(assembled, reference):
     assert np.abs(assembled - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+def spy_on_triangles(monkeypatch):
+    """Wrap assembly._on_triangles; the returned list gets, for each block
+    it sees, whether it chose the contracted branch (det in place of wdet)."""
+    contracted, on_triangles = [], assembly._on_triangles
+
+    def spy(wdet, det, *fields):
+        result = on_triangles(wdet, det, *fields)
+        contracted.append(result[0] is det)
+        return result
+
+    monkeypatch.setattr(assembly, "_on_triangles", spy)
+    return contracted
+
+
+def constant_but_the_last_triangle(values, polynomial):
+    """values[c] on cell c of the M=2 "down" mesh, except on the upper-right
+    triangle of cell 3 (x + y > 1.5), where it is polynomial(x, y)."""
+    def field(x, y):
+        cell = np.minimum(2 * x, 1).astype(int) + 2 * np.minimum(2 * y, 1).astype(int)
+        return np.where(x + y > 1.5, polynomial(x, y), np.asarray(values, float)[cell])
+    return field
+
+
+def test_contracted_branch_is_chosen_per_block(monkeypatch):
+    """With two triangles per block the M=2 mesh has 4 blocks, one per
+    cell.  The fields are constant on each triangle of the first three and
+    vary on one triangle of the last, which mixes a constant triangle with a
+    varying one and so takes the general path.  Both branches together
+    still match the double loop."""
+    monkeypatch.setattr(assembly, "_BLOCK", 2)
+    bx = constant_but_the_last_triangle([1.0, -2.0, 0.5, 3.0], lambda x, y: x - y)
+    by = constant_but_the_last_triangle([0.0, 1.5, -1.0, 2.0], lambda x, y: x * y)
+    spec = ProblemSpec(
+        alpha=constant_but_the_last_triangle([1.0, 2.0, 3.0, 4.0], lambda x, y: 1 + x * y),
+        beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
+        gamma=constant_but_the_last_triangle([-10.0, 2.0, 0.0, 5.0], lambda x, y: x + y * y),
+        f=constant_but_the_last_triangle([1.0, -1.0, 4.0, 2.0], lambda x, y: x * x - y),
+    )
+    space = build_space(build_structured_mesh(2), 3)
+    contracted = spy_on_triangles(monkeypatch)
+    A_ref, N_ref, F_ref = direct_quadrature(space, spec)
+    for assembled, reference in [(assemble_stiffness(space, spec).toarray(), A_ref),
+                                 (assemble_nonsym(space, spec).toarray(), N_ref),
+                                 (assemble_load(space, spec.f), F_ref)]:
+        assert_matches(assembled, reference)
+    assert contracted == 3 * [True, True, True, False]
+
+
+@pytest.mark.parametrize("problem, degree, diagonal, split", [
+    ("ex1", 3, "down", (True, True, False)),
+    ("ex1", 3, "up", (True, True, False)),
+    ("ex1", 6, "down", (True, True, False)),
+    ("ex1", 6, "up", (True, True, False)),
+    ("nonsymmetric", 3, "down", (False, True, False)),
+    ("nonsymmetric", 6, "up", (False, True, False)),
+])
+def test_contracted_and_general_paths_agree(monkeypatch, problem, degree, diagonal, split):
+    """A, Npart and F by default against the same forms with the
+    contraction turned off, to 1e-13 of their largest entry, and the
+    branch each form took: ex1's constant alpha, beta and gamma are
+    contracted but its sin source is not; the nonsymmetric file's
+    alpha = 1 + xy is not, its constant beta and gamma are."""
+    spec = example_1() if problem == "ex1" else load_problem_file(NONSYMMETRIC)
+    space = build_space(build_structured_mesh(4, diagonal=diagonal), degree)
+    forms = [lambda: assemble_stiffness(space, spec).toarray(),
+             lambda: assemble_nonsym(space, spec).toarray(),
+             lambda: assemble_load(space, spec.f)]
+    contracted = spy_on_triangles(monkeypatch)
+    default = []
+    for form, expected in zip(forms, split):
+        default.append(form())
+        assert set(contracted) == {expected}
+        contracted.clear()
+    monkeypatch.setattr(assembly, "_on_triangles", lambda wdet, det, *fields: (wdet, *fields))
+    for form, fast in zip(forms, default):
+        general = form()
+        assert np.abs(fast - general).max() <= 1e-13 * np.abs(general).max()
 
 
 def test_galerkin_identity_between_degrees():
