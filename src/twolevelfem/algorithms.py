@@ -14,10 +14,13 @@ instead, which is what makes its coarse-plus-SPD work so much cheaper than a
 straight fine Galerkin solve.  The caller builds both spaces; nothing here
 builds a mesh or a space.
 
-Solves and rounds see only the interior unknowns, the leading block of each
-assembled matrix, and the returned coefficients get their boundary zeros
-once.  The fine stiffness is factored before any other fine operator is
-built, so no other fine matrix sits beside SuperLU's work arrays.
+Solves and rounds see only the interior unknowns, and the returned
+coefficients get their boundary zeros once.  Every matrix a row factors or
+multiplies is assembled straight into its interior block (`interior=True`,
+and `assemble_operator` for A + Npart in one scatter): no full A, Npart or
+operator is built and sliced.  The fine stiffness is factored before any
+other fine operator is built, so no other fine matrix sits beside SuperLU's
+work arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_load, assemble_nonsym, assemble_stiffness
+from .assembly import (ProblemSpec, assemble_load, assemble_nonsym, assemble_operator,
+                       assemble_stiffness)
 from .solver import TOL, SolverError, make_factor
 from .space import FeSpace, build_prolongation
 
@@ -41,13 +45,6 @@ class IterateState:
     residual_history: list
 
 
-def _interior_operator(space: FeSpace, spec: ProblemSpec):
-    """The interior block of the full operator A + Npart on `space`: one sum,
-    then one slice, whose copy is sized exactly."""
-    n = space.n_interior
-    return (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
-
-
 class IterationOperators:
     """Assembled operators shared by every round of the correction iteration.
 
@@ -55,10 +52,11 @@ class IterationOperators:
     stiffness/lower-order/load triple, the prolongation between the coarse
     and fine interiors, and ready factorizations of the fine stiffness and of
     the coarse full operator (assembled directly on the coarse space, not
-    projected).  The interior DOFs lead each space's numbering, so each block
-    is the leading block of an assembled matrix.  Iterates vanish on the
-    boundary and a coarse interior basis function vanishes at every fine
-    boundary node, so no boundary row or column enters a round.
+    projected).  The interior DOFs lead each space's numbering, so each
+    block is a leading block, and A, Npart and the operator are scattered
+    straight into theirs.  Iterates vanish on the boundary and a coarse
+    interior basis function vanishes at every fine boundary node, so no
+    boundary row or column enters a round.
     """
 
     def __init__(self, spec: ProblemSpec, coarse: FeSpace, fine: FeSpace,
@@ -72,12 +70,12 @@ class IterationOperators:
             )
         self.fine = fine
         nf, nc = fine.n_interior, coarse.n_interior
-        self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
+        self.A_fine = assemble_stiffness(fine, spec, interior=True)
         self._solve_fine_spd = make_factor(self.A_fine, solver)
         self.prolong = build_prolongation(coarse, fine).matrix[:nf, :nc]
-        self.N_fine = assemble_nonsym(fine, spec)[:nf, :nf]
+        self.N_fine = assemble_nonsym(fine, spec, interior=True)
         self.F_fine = assemble_load(fine, spec.f)[:nf]
-        self._solve_coarse = make_factor(_interior_operator(coarse, spec), solver)
+        self._solve_coarse = make_factor(assemble_operator(coarse, spec), solver)
 
     def correction(self, r: np.ndarray) -> np.ndarray:
         """Coarse correction step: solve the full coarse operator against the
@@ -117,6 +115,6 @@ def run_correction_iteration(ops: IterationOperators, k: int) -> IterateState:
 def galerkin_solve(space: FeSpace, spec: ProblemSpec, solver: str = "direct") -> np.ndarray:
     """Solve the full discretization on one space; coefficients include the
     zero boundary values."""
-    solve = make_factor(_interior_operator(space, spec), solver)
+    solve = make_factor(assemble_operator(space, spec), solver)
     x = solve(assemble_load(space, spec.f)[:space.n_interior])[0]
     return np.pad(x, (0, space.n_dofs_total - len(x)))

@@ -13,6 +13,9 @@ field; beta returns a 2-vector field; gamma and f return scalar fields.
 Where a form's fields are constant on every triangle of a block, that block
 is integrated with the quadrature weights summed into the reference table
 first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
+The solves read only the interior DOFs, which lead each space's numbering;
+`interior=True` scatters straight into their block, and `assemble_operator`
+scatters A + Npart there in one product, with no full matrix to slice.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import scipy.sparse as sp
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .space import CoefficientError, FeSpace, checked_field
 
-__all__ = ["ProblemSpec", "assemble_load", "assemble_nonsym", "assemble_stiffness"]
+__all__ = ["ProblemSpec", "assemble_load", "assemble_nonsym", "assemble_operator",
+           "assemble_stiffness"]
 
 # Elements per vectorized assembly block; bounds the size of the per-block
 # coefficient arrays regardless of mesh size.
@@ -101,32 +105,39 @@ def _on_triangles(wdet, det, *fields):
     return (wdet, *fields)
 
 
-def _to_csr(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix.
+def _to_csr(space: FeSpace, local: np.ndarray, interior: bool = False) -> sp.csr_matrix:
+    """Sum the local matrices, local[e, i*n_local + j], into one CSR matrix:
+    the full one, or with `interior` only its leading n_interior block.
 
     The sum is the sparse product R X.  Row e*n_local + i of the element-row
     matrix X is row i of triangle e's local matrix, in the columns
     cell_to_dofs[e]; the 0/1 scatter matrix R adds that row into DOF row
-    cell_to_dofs[e, i].  Scipy's product sums each row's duplicates in a
-    dense accumulator, with no sort, so the result holds no duplicates, no
-    entry whose sum is exactly zero, and column indices in no particular
-    order: nothing here needs them sorted.
+    cell_to_dofs[e, i] if that DOF is kept.  Scipy's product sums each row's
+    duplicates in a dense accumulator, with no sort, so the result holds no
+    duplicates, no entry whose sum is exactly zero, and column indices in no
+    particular order: nothing here needs them sorted.  A column that is not
+    kept is zeroed in `local`, in place and only on the triangles that have
+    one, and pointed at column 0, where its exact zeros leave no entry; so
+    `local` is never copied.
     """
     # DOF numbers are int32, exact as no space has more than
     # (6 * 4096 + 1)**2 < 2**31 DOFs.  X.indptr counts local entries,
     # n_triangles * n_local**2, past 2**31 at P6 from M = 1,171, so scipy
     # picks its dtype.
     dofs, nb = space.cell_to_dofs.astype(np.int32), space.element.n_basis
-    n_rows, n = dofs.size, space.n_dofs_total
-    columns = np.broadcast_to(dofs[:, None, :], (len(dofs), nb, nb)).ravel()
-    X = sp.csr_matrix((local.ravel(), columns, np.arange(n_rows + 1) * nb), shape=(n_rows, n))
-    R = sp.csr_matrix((np.ones(n_rows), dofs.ravel(), np.arange(n_rows + 1)),
+    n_rows, n = dofs.size, space.n_interior if interior else space.n_dofs_total
+    kept = dofs < n
+    cut, blocks = np.flatnonzero(~kept.all(1)), local.reshape(-1, nb, nb)
+    blocks[cut] = np.where(kept[cut, None, :], blocks[cut], 0.0)
+    columns = np.broadcast_to(np.where(kept, dofs, 0)[:, None, :], (len(dofs), nb, nb)).ravel()
+    X = sp.csr_matrix((blocks.ravel(), columns, np.arange(n_rows + 1) * nb), shape=(n_rows, n))
+    R = sp.csr_matrix((np.ones(kept.sum()), dofs[kept], np.append(0, np.cumsum(kept))),
                       shape=(n_rows, n)).T.tocsr()
     return R @ X
 
 
-def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
-    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i.
+def _local_stiffness(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
+    """Local matrices of A, row-major in (i, j) as _to_csr reads them.
 
     grad phi = inv^T dphi, so the integrand is the sum over a and b of
     (inv alpha inv^T)[a, b] dphi[a, i] dphi[b, j]; a scalar alpha is alpha I.
@@ -152,11 +163,11 @@ def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     def table(phi, dphi):
         return np.einsum("qai,qbj->qabij", dphi, dphi).reshape(4 * len(phi), -1)
 
-    return _to_csr(space, _integrate(space, table, coefficient))
+    return _integrate(space, table, coefficient)
 
 
-def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
-    """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i."""
+def _local_nonsym(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
+    """Local matrices of Npart, row-major in (i, j) as _to_csr reads them."""
     def coefficient(pts, wdet, det, inv):
         beta = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
         gamma = checked_field(spec.gamma, pts, wdet.shape, "gamma")
@@ -168,7 +179,27 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
         trial = np.concatenate([dphi, phi[:, None, :]], axis=1)      # (q, a|gamma, j)
         return np.einsum("qi,qcj->qcij", phi, trial).reshape(3 * len(phi), -1)
 
-    return _to_csr(space, _integrate(space, table, coefficient))
+    return _integrate(space, table, coefficient)
+
+
+def assemble_stiffness(space: FeSpace, spec: ProblemSpec, interior: bool = False) -> sp.csr_matrix:
+    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i, or with
+    `interior` only its leading n_interior block (see _local_stiffness)."""
+    return _to_csr(space, _local_stiffness(space, spec), interior)
+
+
+def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False) -> sp.csr_matrix:
+    """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i,
+    or with `interior` only its leading n_interior block."""
+    return _to_csr(space, _local_nonsym(space, spec), interior)
+
+
+def assemble_operator(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
+    """The leading n_interior block of the full operator A + Npart, from one
+    scatter of the summed local matrices."""
+    local = _local_stiffness(space, spec)
+    local += _local_nonsym(space, spec)
+    return _to_csr(space, local, interior=True)
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:

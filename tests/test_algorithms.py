@@ -219,8 +219,8 @@ def test_operators_hold_interior_blocks_and_factor_the_fine_stiffness_first(
     factor, nonsym = algorithms.make_factor, algorithms.assemble_nonsym
     monkeypatch.setattr(algorithms, "make_factor", lambda A, solver="direct": (
         calls.append(("factor", A.shape[0])) or factor(A, solver)))
-    monkeypatch.setattr(algorithms, "assemble_nonsym", lambda space, spec: (
-        calls.append(("nonsym", space)) or nonsym(space, spec)))
+    monkeypatch.setattr(algorithms, "assemble_nonsym", lambda space, spec, interior=False: (
+        calls.append(("nonsym", space)) or nonsym(space, spec, interior)))
     mesh = build_structured_mesh(3)
     coarse = build_space(mesh, 2)
     fine = build_space(refine_nested(mesh, fine_mesh // 3), fine_degree)
@@ -230,6 +230,30 @@ def test_operators_hold_interior_blocks_and_factor_the_fine_stiffness_first(
     assert ops.F_fine.shape == (nf,)
     assert ops.prolong.shape == (nf, coarse.n_interior)
     assert calls.index(("factor", nf)) < calls.index(("nonsym", fine))
+
+
+@pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],
+                         ids=["two-level", "two-grid"])
+def test_operators_are_scattered_straight_into_their_interior_blocks(
+        fine_mesh, fine_degree, monkeypatch):
+    """No full matrix is scattered and sliced: the fine A and Npart are one
+    scatter each, the coarse and the Galerkin operator A + Npart one scatter,
+    and every scatter returns an (n_interior, n_interior) block."""
+    scattered, to_csr = [], assembly._to_csr
+
+    def spy(space, local, *args, **kwargs):
+        matrix = to_csr(space, local, *args, **kwargs)
+        scattered.append((space.n_interior, matrix.shape))
+        return matrix
+
+    monkeypatch.setattr(assembly, "_to_csr", spy)
+    mesh = build_structured_mesh(3)
+    coarse = build_space(mesh, 2)
+    fine = build_space(refine_nested(mesh, fine_mesh // 3), fine_degree)
+    IterationOperators(example_1(), coarse, fine)
+    galerkin_solve(fine, example_1())
+    nf, nc = fine.n_interior, coarse.n_interior
+    assert scattered == [(nf, (nf, nf)), (nf, (nf, nf)), (nc, (nc, nc)), (nf, (nf, nf))]
 
 
 @pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],
@@ -270,18 +294,26 @@ NON_ELLIPTIC_ALPHAS = [
 @pytest.mark.parametrize("degree", [1, 3])
 def test_stiffness_assembly_refuses_a_non_elliptic_alpha(degree):
     """The stiffness assembly itself refuses every alpha of
-    test_non_elliptic_alpha_is_refused_before_any_solve and the indefinite
-    [[1, 3/2], [3/2, 1]], whose positive diagonal alone would pass, and
-    accepts a nonsymmetric alpha whose symmetric part is I."""
+    test_non_elliptic_alpha_is_refused_before_any_solve and constant ones
+    just past the bound 4ad > (b + c)**2 for [[a, b], [c, d]]: the
+    indefinite [[1, 3/2], [3/2, 1]] and [[1, 1.1], [1.1, 1]] (4 < 4.84),
+    whose positive diagonal alone would pass, and matrices with a != d or
+    b != c, so that reading any other entry for a, b, c or d would accept
+    one of them.  It accepts nonsymmetric alphas whose symmetric part is I
+    or just inside the bound ([[2, 0.5], [2.3, 1]]: 8 > 7.84)."""
     def constant(matrix):
         return lambda x, y: np.broadcast_to(matrix, np.shape(x) + (2, 2))
 
     space = build_space(build_structured_mesh(4), degree)
-    for alpha in NON_ELLIPTIC_ALPHAS + [constant([[1.0, 1.5], [1.5, 1.0]])]:
+    refused = [[[1.0, 1.5], [1.5, 1.0]], [[1.0, 1.1], [1.1, 1.0]],
+               [[4.0, 1.0], [1.0, 0.2]], [[0.2, 1.0], [1.0, 4.0]],
+               [[1.0, 0.5], [1.7, 1.0]], [[1.0, 1.7], [0.5, 1.0]]]
+    for alpha in NON_ELLIPTIC_ALPHAS + [constant(matrix) for matrix in refused]:
         with pytest.raises(CoefficientError, match="not positive definite"):
             assemble_stiffness(space, dataclasses.replace(example_1(), alpha=alpha))
-    problem = dataclasses.replace(example_1(), alpha=constant([[1.0, 0.5], [-0.5, 1.0]]))
-    assert assemble_stiffness(space, problem).shape == (space.n_dofs_total,) * 2
+    for matrix in [[[1.0, 0.5], [-0.5, 1.0]], [[2.0, 0.5], [2.3, 1.0]]]:
+        problem = dataclasses.replace(example_1(), alpha=constant(matrix))
+        assert assemble_stiffness(space, problem).shape == (space.n_dofs_total,) * 2
 
 
 def count_walks(monkeypatch):

@@ -16,6 +16,7 @@ from twolevelfem import (
     ProblemSpec,
     assemble_load,
     assemble_nonsym,
+    assemble_operator,
     assemble_stiffness,
     build_prolongation,
     build_space,
@@ -381,6 +382,35 @@ def test_galerkin_identity_between_degrees():
     full_coarse = assemble_stiffness(coarse, problem) + assemble_nonsym(coarse, problem)
     diff = (P.T @ full_fine @ P - full_coarse).toarray()
     assert np.abs(diff).max() <= 1e-10
+
+
+def sorted_copy(matrix):
+    copy = matrix.copy()
+    copy.sort_indices()
+    return copy
+
+
+@pytest.mark.parametrize("diagonal", ["down", "up"])
+@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("problem", [example_1, lambda: load_problem_file(NONSYMMETRIC)],
+                         ids=["ex1", "nonsymmetric"])
+def test_interior_scatter_is_the_leading_block_of_the_full_matrix(problem, degree, diagonal):
+    """interior=True scatters only the interior DOFs and gives the leading
+    block of the full matrix entry for entry, bit for bit; the one-scatter
+    operator sums the local matrices before the scatter, so it agrees with
+    the block of A + Npart to roundoff of its largest entry."""
+    space = build_space(build_structured_mesh(3, diagonal=diagonal), degree)
+    spec, n = problem(), space.n_interior
+    for assemble in (assemble_stiffness, assemble_nonsym):
+        block = sorted_copy(assemble(space, spec, interior=True))
+        full = sorted_copy(assemble(space, spec)[:n, :n])
+        assert block.shape == full.shape == (n, n)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, attr), getattr(full, attr))
+    full = (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
+    operator = assemble_operator(space, spec)
+    assert operator.shape == (n, n)
+    assert abs(operator - full).max() <= 1e-14 * abs(full).max()
 
 
 @pytest.mark.parametrize("M, degree, bound", [(20, 6, 1.5), (40, 3, 1.75)])

@@ -392,6 +392,20 @@ def test_round_count_is_bounded_except_for_galerkin():
     cli.RunConfig(example="1", algorithm="galerkin", l=1, s=None, k=10**12, M_list=(2,))
 
 
+@pytest.mark.parametrize("fine_factor, exponent", [("square", 6), (2, 3)])
+def test_two_grid_default_scale_exponent(fine_factor, exponent):
+    """A two-grid row reports h1_error * M**(2l) under h = H^2, where the
+    fine mesh size is M**-2, and h1_error * M**l under a fixed factor."""
+    rows = cli.run_experiment(cli.RunConfig(example="1", algorithm="two-grid", l=3, s=None,
+                                            k=2, M_list=(2, 3), fine_factor=fine_factor))
+    for row in rows:
+        assert row.scaled_error == pytest.approx(row.h1_error * row.M ** exponent, rel=1e-12)
+
+
+def test_parser_defaults_to_coarse_degree_three():
+    assert cli.build_parser().parse_args(["--example", "1", "--M", "2"]).l == 3
+
+
 @pytest.mark.parametrize("p", [-285, 285])
 def test_scale_exponent_at_the_float_range_edges(p, capsys):
     code, captured = run_main(

@@ -20,7 +20,7 @@ from twolevelfem import (
     refine_nested,
 )
 from twolevelfem.problems import example_1, example_2
-from twolevelfem.solver import TOL, DirectFactor
+from twolevelfem.solver import TOL, DirectFactor, _residual_floor
 
 
 def reduced_operators(M, degree, refine=1, problem=example_1):
@@ -211,6 +211,14 @@ def test_ordering_cuts_fill(M, degree, refine, bound, example):
             oracle = spla.splu(K[lexicographic, :][:, lexicographic].tocsc(),
                                permc_spec="MMD_AT_PLUS_A").nnz
             assert DirectFactor(K[:n, :n])._lu.nnz <= bound * oracle
+
+
+def test_residual_floor_counts_the_product_and_the_load():
+    """A x - b rounds terms of size |A| |x| + |b|: for A = I and x = b that
+    is 2 |b|, so the floor is 8 eps times 2."""
+    b = np.array([1.0, -2.0, 3.0])
+    floor = _residual_floor(sp.identity(3, format="csr"), b, b, np.linalg.norm(b))
+    assert floor / np.finfo(float).eps == pytest.approx(16.0, rel=1e-12)
 
 
 def test_refinement_stops_at_certified_floor():
