@@ -15,12 +15,12 @@ straight fine Galerkin solve.  The caller builds both spaces; nothing here
 builds a mesh or a space.
 
 Solves and rounds see only the interior unknowns, and the returned
-coefficients get their boundary zeros once.  Every matrix a row factors or
-multiplies is assembled straight into its interior block (`interior=True`,
-and `assemble_operator` for A + Npart in one scatter): no full A, Npart or
-operator is built and sliced.  The fine stiffness is factored before any
-other fine operator is built, so no other fine matrix sits beside SuperLU's
-work arrays.
+coefficients get their boundary zeros once.  The fine stiffness is the
+leading block of the full one, sliced and factored before any other fine
+operator is built, so no other fine matrix sits beside SuperLU's work
+arrays.  The fine Npart (`interior=True`) and the coarse and Galerkin
+operator A + Npart (`assemble_operator`, one scatter) are assembled straight
+into their interior blocks: no full matrix of theirs is built and sliced.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class IterationOperators:
     and fine interiors, and ready factorizations of the fine stiffness and of
     the coarse full operator (assembled directly on the coarse space, not
     projected).  The interior DOFs lead each space's numbering, so each
-    block is a leading block, and A, Npart and the operator are scattered
-    straight into theirs.  Iterates vanish on the boundary and a coarse
+    block is a leading block; Npart and the operator are scattered straight
+    into theirs.  Iterates vanish on the boundary and a coarse
     interior basis function vanishes at every fine boundary node, so no
     boundary row or column enters a round.
     """
@@ -70,7 +70,7 @@ class IterationOperators:
             )
         self.fine = fine
         nf, nc = fine.n_interior, coarse.n_interior
-        self.A_fine = assemble_stiffness(fine, spec, interior=True)
+        self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
         self._solve_fine_spd = make_factor(self.A_fine, solver)
         self.prolong = build_prolongation(coarse, fine).matrix[:nf, :nc]
         self.N_fine = assemble_nonsym(fine, spec, interior=True)

@@ -14,8 +14,9 @@ Where a form's fields are constant on every triangle of a block, that block
 is integrated with the quadrature weights summed into the reference table
 first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
 The solves read only the interior DOFs, which lead each space's numbering;
-`interior=True` scatters straight into their block, and `assemble_operator`
-scatters A + Npart there in one product, with no full matrix to slice.
+`assemble_nonsym(..., interior=True)` scatters Npart straight into their
+block, and `assemble_operator` scatters A + Npart there in one product, with
+no full matrix to slice.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ def _local_nonsym(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
     return _integrate(space, table, coefficient)
 
 
-def assemble_stiffness(space: FeSpace, spec: ProblemSpec, interior: bool = False) -> sp.csr_matrix:
-    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i, or with
-    `interior` only its leading n_interior block (see _local_stiffness)."""
-    return _to_csr(space, _local_stiffness(space, spec), interior)
+def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
+    """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i (see
+    _local_stiffness)."""
+    return _to_csr(space, _local_stiffness(space, spec))
 
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False) -> sp.csr_matrix:

@@ -236,9 +236,10 @@ def test_operators_hold_interior_blocks_and_factor_the_fine_stiffness_first(
                          ids=["two-level", "two-grid"])
 def test_operators_are_scattered_straight_into_their_interior_blocks(
         fine_mesh, fine_degree, monkeypatch):
-    """No full matrix is scattered and sliced: the fine A and Npart are one
-    scatter each, the coarse and the Galerkin operator A + Npart one scatter,
-    and every scatter returns an (n_interior, n_interior) block."""
+    """The fine A is one full scatter, sliced before its factor; the fine
+    Npart is one scatter, and the coarse and the Galerkin operator A + Npart
+    one scatter each, and each of those returns an (n_interior, n_interior)
+    block: no full Npart or operator is built and sliced."""
     scattered, to_csr = [], assembly._to_csr
 
     def spy(space, local, *args, **kwargs):
@@ -253,7 +254,8 @@ def test_operators_are_scattered_straight_into_their_interior_blocks(
     IterationOperators(example_1(), coarse, fine)
     galerkin_solve(fine, example_1())
     nf, nc = fine.n_interior, coarse.n_interior
-    assert scattered == [(nf, (nf, nf)), (nf, (nf, nf)), (nc, (nc, nc)), (nf, (nf, nf))]
+    full = (fine.n_dofs_total,) * 2
+    assert scattered == [(nf, full), (nf, (nf, nf)), (nc, (nc, nc)), (nf, (nf, nf))]
 
 
 @pytest.mark.parametrize("fine_mesh, fine_degree", [(3, 4), (6, 2)],

@@ -395,15 +395,18 @@ def sorted_copy(matrix):
 @pytest.mark.parametrize("problem", [example_1, lambda: load_problem_file(NONSYMMETRIC)],
                          ids=["ex1", "nonsymmetric"])
 def test_interior_scatter_is_the_leading_block_of_the_full_matrix(problem, degree, diagonal):
-    """interior=True scatters only the interior DOFs and gives the leading
+    """The interior scatter of A's and of Npart's local matrices
+    (assemble_operator's and assemble_nonsym's interior=True) is the leading
     block of the full matrix entry for entry, bit for bit; the one-scatter
     operator sums the local matrices before the scatter, so it agrees with
     the block of A + Npart to roundoff of its largest entry."""
     space = build_space(build_structured_mesh(3, diagonal=diagonal), degree)
     spec, n = problem(), space.n_interior
-    for assemble in (assemble_stiffness, assemble_nonsym):
-        block = sorted_copy(assemble(space, spec, interior=True))
-        full = sorted_copy(assemble(space, spec)[:n, :n])
+    pairs = [(_to_csr(space, assembly._local_stiffness(space, spec), interior=True),
+              assemble_stiffness(space, spec)),
+             (assemble_nonsym(space, spec, interior=True), assemble_nonsym(space, spec))]
+    for block, full in pairs:
+        block, full = sorted_copy(block), sorted_copy(full[:n, :n])
         assert block.shape == full.shape == (n, n)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, attr), getattr(full, attr))
