@@ -18,9 +18,9 @@ Solves and rounds see only the interior unknowns, and the returned
 coefficients get their boundary zeros once.  The fine stiffness is the
 leading block of the full one, sliced and factored before any other fine
 operator is built, so no other fine matrix sits beside SuperLU's work
-arrays.  The fine Npart (`interior=True`) and the coarse and Galerkin
-operator A + Npart (`assemble_operator`, one scatter) are assembled straight
-into their interior blocks: no full matrix of theirs is built and sliced.
+arrays.  The rounds only apply the fine Npart, so it is never assembled
+(`assemble_nonsym(..., interior=True)`); the prolongation and the coarse
+and Galerkin operator are built straight as their interior blocks.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class IterationOperators:
     and fine interiors, and ready factorizations of the fine stiffness and of
     the coarse full operator (assembled directly on the coarse space, not
     projected).  The interior DOFs lead each space's numbering, so each
-    block is a leading block; Npart and the operator are scattered straight
-    into theirs.  Iterates vanish on the boundary and a coarse
+    block is a leading block, and the fine Npart is applied triangle by
+    triangle.  Iterates vanish on the boundary and a coarse
     interior basis function vanishes at every fine boundary node, so no
     boundary row or column enters a round.
     """
@@ -69,10 +69,10 @@ class IterationOperators:
                 f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
             )
         self.fine = fine
-        nf, nc = fine.n_interior, coarse.n_interior
+        nf = fine.n_interior
         self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
         self._solve_fine_spd = make_factor(self.A_fine, solver)
-        self.prolong = build_prolongation(coarse, fine).matrix[:nf, :nc]
+        self.prolong = build_prolongation(coarse, fine, interior=True).matrix
         self.N_fine = assemble_nonsym(fine, spec, interior=True)
         self.F_fine = assemble_load(fine, spec.f)[:nf]
         self._solve_coarse = make_factor(assemble_operator(coarse, spec), solver)

@@ -13,10 +13,10 @@ field; beta returns a 2-vector field; gamma and f return scalar fields.
 Where a form's fields are constant on every triangle of a block, that block
 is integrated with the quadrature weights summed into the reference table
 first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
-The solves read only the interior DOFs, which lead each space's numbering;
-`assemble_nonsym(..., interior=True)` scatters Npart straight into their
-block, and `assemble_operator` scatters A + Npart there in one product, with
-no full matrix to slice.
+The solves read only the interior DOFs, which lead each space's numbering:
+`assemble_operator` scatters A + Npart into their block in one product, and
+`assemble_nonsym(..., interior=True)` keeps Npart's block as an
+`ElementOperator` that applies it triangle by triangle, never assembled.
 """
 
 from __future__ import annotations
@@ -72,28 +72,38 @@ def element_blocks(space: FeSpace, quad: QuadratureRule):
         yield block, pts, det[block, None] * quad.weights[None, :], inv[block]
 
 
-def _integrate(space: FeSpace, table, coefficient) -> np.ndarray:
+def _integrate(space: FeSpace, table, coefficient):
     """The one kernel of every assembled form: for every triangle e,
-    local[e, m] = sum over q and c of C[e, q, c] T[(q, c), m].
+    local[e, m] = sum over q and c of C[e, q, c] T[(q, c), m], yielded per
+    block of element_blocks as (block, C, K) with local = C K.
 
     `table(phi, dphi)` builds T from the basis values phi (q, i) and the
     reference gradients dphi (q, a, i); `coefficient(pts, wdet, det, inv)`
-    gives C on one block of element_blocks, with the weights and Jacobian in
-    it.  Where _on_triangles finds a block's fields constant on each
-    triangle, C is (e, 1, c), with det in place of wdet, and meets
-    summed[c, m] = sum over q of w_q T[(q, c), m]: one (e, c) x (c, m)
-    product in place of (e, q c) x (q c, m).  The assembly rules have more
-    than one point, so C's shape tells the two apart.
+    gives C on one block, with the weights and Jacobian in it.  Where
+    _on_triangles finds a block's fields constant on each triangle, C is
+    (e, 1, c), with det in place of wdet, and K = summed[c, m] = sum over q
+    of w_q T[(q, c), m].  The assembly rules have more than one point, so
+    C's shape tells the two apart; other blocks yield local as C, K = None.
     """
     quad = default_assembly_quadrature(space.degree)
     phi, grads = tabulate_basis(space.element, quad.points)
     flat = table(phi, grads.transpose(0, 2, 1))
     summed = (quad.weights @ flat.reshape(len(phi), -1)).reshape(-1, flat.shape[1])
     det = space.mesh.affine[2]
-    local = np.empty((space.mesh.n_triangles, flat.shape[1]))
     for block, pts, wdet, inv in element_blocks(space, quad):
         c = coefficient(pts, wdet, det[block, None], inv)
-        local[block] = c.reshape(len(c), -1) @ (summed if c.shape[1] == 1 else flat)
+        contracted, c = c.shape[1] == 1, c.reshape(len(c), -1)
+        yield (block, c, summed) if contracted else (block, c @ flat, None)
+
+
+def _local(space: FeSpace, factors) -> np.ndarray:
+    """Every triangle's local matrix, C K from _integrate's blocks."""
+    local = None
+    for block, C, K in factors:
+        part = C if K is None else C @ K
+        if local is None:
+            local = np.empty((space.mesh.n_triangles, part.shape[1]))
+        local[block] = part
     return local
 
 
@@ -137,8 +147,31 @@ def _to_csr(space: FeSpace, local: np.ndarray, interior: bool = False) -> sp.csr
     return R @ X
 
 
-def _local_stiffness(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
-    """Local matrices of A, row-major in (i, j) as _to_csr reads them.
+class ElementOperator:
+    """The leading n_interior block of an assembled form, applied triangle by
+    triangle from _integrate's factors, never summed into a matrix (Kronbichler
+    & Kormann, Computers & Fluids 63, 2012): a contracted block keeps C (e, c)
+    and summed (c, n_local**2), any other block its local matrices."""
+
+    def __init__(self, space: FeSpace, factors):
+        n = space.n_interior
+        self.shape, self._blocks = (n, n), list(factors)
+        self._dofs = np.minimum(space.cell_to_dofs, n)   # boundary DOFs -> dump slot n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        padded, y = np.append(x, 0.0), np.empty(self._dofs.shape)
+        nb = y.shape[1]
+        for block, C, K in self._blocks:
+            x_e = padded[self._dofs[block]]
+            if K is None:
+                y[block] = np.einsum("eij,ej->ei", C.reshape(-1, nb, nb), x_e)
+            else:   # one (e, j) x (j, i) product per table c
+                y[block] = np.einsum("ec,cei->ei", C, x_e @ K.reshape(-1, nb, nb).swapaxes(1, 2))
+        return np.bincount(self._dofs.ravel(), y.ravel(), len(padded))[:-1]
+
+
+def _stiffness(space: FeSpace, spec: ProblemSpec):
+    """_integrate's factors of A, row-major in (i, j) as _to_csr reads them.
 
     grad phi = inv^T dphi, so the integrand is the sum over a and b of
     (inv alpha inv^T)[a, b] dphi[a, i] dphi[b, j]; a scalar alpha is alpha I.
@@ -167,8 +200,8 @@ def _local_stiffness(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
     return _integrate(space, table, coefficient)
 
 
-def _local_nonsym(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
-    """Local matrices of Npart, row-major in (i, j) as _to_csr reads them."""
+def _nonsym(space: FeSpace, spec: ProblemSpec):
+    """_integrate's factors of Npart, row-major in (i, j) as _to_csr reads them."""
     def coefficient(pts, wdet, det, inv):
         beta = checked_field(spec.beta, pts, wdet.shape + (2,), "beta")
         gamma = checked_field(spec.gamma, pts, wdet.shape, "gamma")
@@ -185,21 +218,23 @@ def _local_nonsym(space: FeSpace, spec: ProblemSpec) -> np.ndarray:
 
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i (see
-    _local_stiffness)."""
-    return _to_csr(space, _local_stiffness(space, spec))
+    _stiffness)."""
+    return _to_csr(space, _local(space, _stiffness(space, spec)))
 
 
-def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False) -> sp.csr_matrix:
-    """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i,
-    or with `interior` only its leading n_interior block."""
-    return _to_csr(space, _local_nonsym(space, spec), interior)
+def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False):
+    """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i
+    as a CSR matrix, or with `interior` its leading n_interior block as an
+    ElementOperator."""
+    factors = _nonsym(space, spec)
+    return ElementOperator(space, factors) if interior else _to_csr(space, _local(space, factors))
 
 
 def assemble_operator(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """The leading n_interior block of the full operator A + Npart, from one
     scatter of the summed local matrices."""
-    local = _local_stiffness(space, spec)
-    local += _local_nonsym(space, spec)
+    local = _local(space, _stiffness(space, spec))
+    local += _local(space, _nonsym(space, spec))
     return _to_csr(space, local, interior=True)
 
 
@@ -209,7 +244,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
         wdet, field = _on_triangles(wdet, det, checked_field(f, pts, wdet.shape, "f"))
         return wdet * field
 
-    local = _integrate(space, lambda phi, dphi: phi, coefficient)
+    local = _local(space, _integrate(space, lambda phi, dphi: phi, coefficient))
     return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
                        minlength=space.n_dofs_total)
 

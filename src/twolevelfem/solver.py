@@ -67,10 +67,15 @@ def _residual_floor(A, x: np.ndarray, b: np.ndarray, norm_b: float) -> float:
     rounds terms of size |A| |x| + |b|, so a backward-stable solve at that scale
     times machine epsilon is as exact as the arithmetic allows.  The floor
     exceeds TOL on large systems whose loads are small against the stiffness."""
-    # |A| over the CSR A's own index arrays, which abs(A) would copy.
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    scale = np.linalg.norm(abs_A @ np.abs(x) + np.abs(b))
-    return 8.0 * np.finfo(float).eps * float(scale) / norm_b
+    # |A| |x| in row chunks over views of A's arrays: one product's bits, no full |A|.
+    abs_x, scale = np.abs(x), np.abs(b)
+    bounds = np.searchsorted(A.indptr, np.linspace(0, A.nnz, min(16, 1 + A.nnz // 2**14) + 1))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        head, tail = A.indptr[start], A.indptr[stop]
+        scale[start:stop] += sp.csr_matrix(
+            (np.abs(A.data[head:tail]), A.indices[head:tail], A.indptr[start:stop + 1] - head),
+            shape=(stop - start, A.shape[1])) @ abs_x
+    return 8.0 * np.finfo(float).eps * float(np.linalg.norm(scale)) / norm_b
 
 
 def _certified(A, b: np.ndarray, inner: Callable, method: str) -> tuple[np.ndarray, SolveReport]:

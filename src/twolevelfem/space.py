@@ -180,11 +180,12 @@ def interpolate(space: FeSpace, g) -> np.ndarray:
 class Prolongation:
     """Sparse interpolation operator from a source space into a finer one."""
 
-    matrix: sp.csr_matrix  # (target.n_dofs_total, source.n_dofs_total)
+    matrix: sp.csr_matrix  # (target DOFs, source DOFs): all, or the interior ones
 
 
-def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
-    """Interpolation matrix P with P[j, i] = (source basis i)(target DOF j).
+def build_prolongation(source: FeSpace, target: FeSpace, interior: bool = False) -> Prolongation:
+    """Interpolation matrix P with P[j, i] = (source basis i)(target DOF j),
+    or with `interior` only its leading (target, source) n_interior block.
 
     Supported pairs: same mesh with source.degree <= target.degree, or the
     target mesh an integer refinement of the source mesh with equal degrees.
@@ -214,17 +215,16 @@ def build_prolongation(source: FeSpace, target: FeSpace) -> Prolongation:
     # or vertex order: one table of source basis values serves them all.
     D = target.degree * r
     values, _ = tabulate_basis(source.element, lattice_nodes(D) / D)  # (n_nodes, n_local)
-    # A target DOF on several triangles takes the row of its first one.
-    n_nodes, n_local = values.shape
-    first = np.unique(target.numbering[_lattice_dofs(source.mesh, D)], return_index=True)[1]
-    triangle, node = np.divmod(first, n_nodes)
-    data = values[node].ravel()
-    data[np.abs(data) <= _DROP_TOL] = 0.0
-    matrix = sp.csr_matrix(
-        (data, source.cell_to_dofs[triangle].ravel(),
-         np.arange(target.n_dofs_total + 1) * n_local),
-        shape=(target.n_dofs_total, source.n_dofs_total),
-    )
-    matrix.eliminate_zeros()
+    rows, cols = ((target.n_interior, source.n_interior) if interior else
+                  (target.n_dofs_total, source.n_dofs_total))
+    # A DOF on several triangles takes its first one's row: a reversed scatter's last write.
+    dofs = target.numbering[_lattice_dofs(source.mesh, D)].ravel()
+    first = np.empty(target.n_dofs_total, dtype=np.intp)
+    first[dofs[::-1]] = np.arange(len(dofs) - 1, -1, -1)
+    triangle, node = np.divmod(first[:rows], len(values))
+    data, columns = values[node], source.cell_to_dofs.astype(np.int32)[triangle]
+    kept = (np.abs(values) > _DROP_TOL)[node] & (columns < cols)
+    indptr = np.cumsum(np.append(0, np.count_nonzero(kept, axis=1)), dtype=np.int32)
+    matrix = sp.csr_matrix((data[kept], columns[kept], indptr), shape=(rows, cols))
     matrix.sort_indices()
     return Prolongation(matrix=matrix)

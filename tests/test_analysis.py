@@ -184,6 +184,13 @@ def test_estimate_orders_excludes_degenerate_rows():
     assert slope == pytest.approx(2.0, abs=1e-12)
 
 
+def test_estimate_orders_warning_counts_the_excluded_rows():
+    rows = rows_from([1e-2, np.nan, 0.0, 1e-4, 1e-6], [10, 20, 50, 100, 1000])
+    with pytest.warns(UserWarning, match="excluded 2 rows"):
+        pairwise, _ = estimate_orders(rows)
+    assert pairwise == [pytest.approx(2.0, abs=1e-12)] * 2
+
+
 def test_estimate_orders_needs_two_usable_rows():
     with pytest.raises(ValueError):
         estimate_orders(rows_from([1e-3], [10]))

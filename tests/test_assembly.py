@@ -314,6 +314,18 @@ def constant_but_the_last_triangle(values, polynomial):
     return field
 
 
+def mixed_spec():
+    """Fields constant on each triangle of the M=2 "down" mesh but one."""
+    bx = constant_but_the_last_triangle([1.0, -2.0, 0.5, 3.0], lambda x, y: x - y)
+    by = constant_but_the_last_triangle([0.0, 1.5, -1.0, 2.0], lambda x, y: x * y)
+    return ProblemSpec(
+        alpha=constant_but_the_last_triangle([1.0, 2.0, 3.0, 4.0], lambda x, y: 1 + x * y),
+        beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
+        gamma=constant_but_the_last_triangle([-10.0, 2.0, 0.0, 5.0], lambda x, y: x + y * y),
+        f=constant_but_the_last_triangle([1.0, -1.0, 4.0, 2.0], lambda x, y: x * x - y),
+    )
+
+
 def test_contracted_branch_is_chosen_per_block(monkeypatch):
     """With two triangles per block the M=2 mesh has 4 blocks, one per
     cell.  The fields are constant on each triangle of the first three and
@@ -321,14 +333,7 @@ def test_contracted_branch_is_chosen_per_block(monkeypatch):
     varying one and so takes the general path.  Both branches together
     still match the double loop."""
     monkeypatch.setattr(assembly, "_BLOCK", 2)
-    bx = constant_but_the_last_triangle([1.0, -2.0, 0.5, 3.0], lambda x, y: x - y)
-    by = constant_but_the_last_triangle([0.0, 1.5, -1.0, 2.0], lambda x, y: x * y)
-    spec = ProblemSpec(
-        alpha=constant_but_the_last_triangle([1.0, 2.0, 3.0, 4.0], lambda x, y: 1 + x * y),
-        beta=lambda x, y: np.stack([bx(x, y), by(x, y)], axis=-1),
-        gamma=constant_but_the_last_triangle([-10.0, 2.0, 0.0, 5.0], lambda x, y: x + y * y),
-        f=constant_but_the_last_triangle([1.0, -1.0, 4.0, 2.0], lambda x, y: x * x - y),
-    )
+    spec = mixed_spec()
     space = build_space(build_structured_mesh(2), 3)
     contracted = spy_on_triangles(monkeypatch)
     A_ref, N_ref, F_ref = direct_quadrature(space, spec)
@@ -390,30 +395,52 @@ def sorted_copy(matrix):
     return copy
 
 
+def assert_applies_the_leading_block(space, spec):
+    """assemble_nonsym(interior=True) applied to random x matches the leading
+    block of the full Npart to 1e-14 of its largest entry."""
+    n = space.n_interior
+    operator = assemble_nonsym(space, spec, interior=True)
+    block = assemble_nonsym(space, spec)[:n, :n]
+    assert operator.shape == block.shape == (n, n)
+    for x in np.random.default_rng(n).uniform(-1.0, 1.0, (3, n)):
+        assert np.abs(operator @ x - block @ x).max() <= 1e-14 * abs(block).max()
+
+
 @pytest.mark.parametrize("diagonal", ["down", "up"])
 @pytest.mark.parametrize("degree", range(1, 7))
 @pytest.mark.parametrize("problem", [example_1, lambda: load_problem_file(NONSYMMETRIC)],
                          ids=["ex1", "nonsymmetric"])
 def test_interior_scatter_is_the_leading_block_of_the_full_matrix(problem, degree, diagonal):
-    """The interior scatter of A's and of Npart's local matrices
-    (assemble_operator's and assemble_nonsym's interior=True) is the leading
-    block of the full matrix entry for entry, bit for bit; the one-scatter
-    operator sums the local matrices before the scatter, so it agrees with
-    the block of A + Npart to roundoff of its largest entry."""
+    """The interior scatter of A's local matrices is the leading block of
+    the full matrix entry for entry, bit for bit; the element operator of
+    Npart applies that block to roundoff; the one-scatter operator sums the
+    local matrices before the scatter, so it agrees with the block of
+    A + Npart to roundoff of its largest entry."""
     space = build_space(build_structured_mesh(3, diagonal=diagonal), degree)
     spec, n = problem(), space.n_interior
-    pairs = [(_to_csr(space, assembly._local_stiffness(space, spec), interior=True),
-              assemble_stiffness(space, spec)),
-             (assemble_nonsym(space, spec, interior=True), assemble_nonsym(space, spec))]
-    for block, full in pairs:
-        block, full = sorted_copy(block), sorted_copy(full[:n, :n])
-        assert block.shape == full.shape == (n, n)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(block, attr), getattr(full, attr))
+    block = sorted_copy(_to_csr(space, assembly._local(space, assembly._stiffness(space, spec)),
+                                interior=True))
+    full = sorted_copy(assemble_stiffness(space, spec)[:n, :n])
+    assert block.shape == full.shape == (n, n)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(block, attr), getattr(full, attr))
+    assert_applies_the_leading_block(space, spec)
     full = (assemble_stiffness(space, spec) + assemble_nonsym(space, spec))[:n, :n]
     operator = assemble_operator(space, spec)
     assert operator.shape == (n, n)
     assert abs(operator - full).max() <= 1e-14 * abs(full).max()
+
+
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_element_operator_applies_contracted_and_general_blocks(monkeypatch, degree):
+    """With two triangles per block, the mixed fields contract Npart on
+    three blocks and not on the last, so the element operator holds both
+    kinds of block, and still applies the leading block of the full Npart."""
+    monkeypatch.setattr(assembly, "_BLOCK", 2)
+    space = build_space(build_structured_mesh(2), degree)
+    operator = assemble_nonsym(space, mixed_spec(), interior=True)
+    assert [K is None for _, _, K in operator._blocks] == [False, False, False, True]
+    assert_applies_the_leading_block(space, mixed_spec())
 
 
 @pytest.mark.parametrize("M, degree, bound", [(20, 6, 1.5), (40, 3, 1.75)])
