@@ -19,8 +19,9 @@ coefficients get their boundary zeros once.  The fine stiffness is the
 leading block of the full one, sliced and factored before any other fine
 operator is built, so no other fine matrix sits beside SuperLU's work
 arrays.  The rounds only apply the fine Npart, so it is never assembled
-(`assemble_nonsym(..., interior=True)`); the prolongation and the coarse
-and Galerkin operator are built straight as their interior blocks.
+(`assemble_nonsym(..., interior=True)` is a scipy `LinearOperator`); the
+prolongation and the coarse and Galerkin operator are built straight as
+their interior blocks.
 """
 
 from __future__ import annotations

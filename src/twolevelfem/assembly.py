@@ -15,8 +15,8 @@ is integrated with the quadrature weights summed into the reference table
 first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
 The solves read only the interior DOFs, which lead each space's numbering:
 `assemble_operator` scatters A + Npart into their block in one product, and
-`assemble_nonsym(..., interior=True)` keeps Npart's block as an
-`ElementOperator` that applies it triangle by triangle, never assembled.
+`assemble_nonsym(..., interior=True)` keeps Npart's block as a scipy
+`LinearOperator` that applies it triangle by triangle, never assembled.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .element import QuadratureRule, build_quadrature, tabulate_basis
 from .space import CoefficientError, FeSpace, checked_field
@@ -96,15 +97,9 @@ def _integrate(space: FeSpace, table, coefficient):
         yield (block, c, summed) if contracted else (block, c @ flat, None)
 
 
-def _local(space: FeSpace, factors) -> np.ndarray:
-    """Every triangle's local matrix, C K from _integrate's blocks."""
-    local = None
-    for block, C, K in factors:
-        part = C if K is None else C @ K
-        if local is None:
-            local = np.empty((space.mesh.n_triangles, part.shape[1]))
-        local[block] = part
-    return local
+def _local(factors) -> np.ndarray:
+    """Every triangle's local matrix, C K from _integrate's consecutive blocks."""
+    return np.concatenate([C if K is None else C @ K for _, C, K in factors])
 
 
 def _on_triangles(wdet, det, *fields):
@@ -145,29 +140,6 @@ def _to_csr(space: FeSpace, local: np.ndarray, interior: bool = False) -> sp.csr
     R = sp.csr_matrix((np.ones(kept.sum()), dofs[kept], np.append(0, np.cumsum(kept))),
                       shape=(n_rows, n)).T.tocsr()
     return R @ X
-
-
-class ElementOperator:
-    """The leading n_interior block of an assembled form, applied triangle by
-    triangle from _integrate's factors, never summed into a matrix (Kronbichler
-    & Kormann, Computers & Fluids 63, 2012): a contracted block keeps C (e, c)
-    and summed (c, n_local**2), any other block its local matrices."""
-
-    def __init__(self, space: FeSpace, factors):
-        n = space.n_interior
-        self.shape, self._blocks = (n, n), list(factors)
-        self._dofs = np.minimum(space.cell_to_dofs, n)   # boundary DOFs -> dump slot n
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        padded, y = np.append(x, 0.0), np.empty(self._dofs.shape)
-        nb = y.shape[1]
-        for block, C, K in self._blocks:
-            x_e = padded[self._dofs[block]]
-            if K is None:
-                y[block] = np.einsum("eij,ej->ei", C.reshape(-1, nb, nb), x_e)
-            else:   # one (e, j) x (j, i) product per table c
-                y[block] = np.einsum("ec,cei->ei", C, x_e @ K.reshape(-1, nb, nb).swapaxes(1, 2))
-        return np.bincount(self._dofs.ravel(), y.ravel(), len(padded))[:-1]
 
 
 def _stiffness(space: FeSpace, spec: ProblemSpec):
@@ -219,22 +191,40 @@ def _nonsym(space: FeSpace, spec: ProblemSpec):
 def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i (see
     _stiffness)."""
-    return _to_csr(space, _local(space, _stiffness(space, spec)))
+    return _to_csr(space, _local(_stiffness(space, spec)))
 
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False):
     """Assemble Npart[i, j] = integral of (beta . grad phi_j + gamma phi_j) phi_i
-    as a CSR matrix, or with `interior` its leading n_interior block as an
-    ElementOperator."""
-    factors = _nonsym(space, spec)
-    return ElementOperator(space, factors) if interior else _to_csr(space, _local(space, factors))
+    as a CSR matrix, or with `interior` its leading n_interior block as a
+    LinearOperator that applies it triangle by triangle from _integrate's
+    factors, never summed into a matrix (Kronbichler & Kormann, Computers &
+    Fluids 63, 2012): a contracted block keeps C (e, c) and summed
+    (c, n_local**2), any other block its local matrices."""
+    if not interior:
+        return _to_csr(space, _local(_nonsym(space, spec)))
+    n, blocks = space.n_interior, list(_nonsym(space, spec))
+    dofs = np.minimum(space.cell_to_dofs, n)   # boundary DOFs -> dump slot n
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        padded, y = np.append(x, 0.0), np.empty(dofs.shape)
+        nb = y.shape[1]
+        for block, C, K in blocks:
+            x_e = padded[dofs[block]]
+            if K is None:
+                y[block] = np.einsum("eij,ej->ei", C.reshape(-1, nb, nb), x_e)
+            else:   # one (e, j) x (j, i) product per table c
+                y[block] = np.einsum("ec,cei->ei", C, x_e @ K.reshape(-1, nb, nb).swapaxes(1, 2))
+        return np.bincount(dofs.ravel(), y.ravel(), len(padded))[:-1]
+
+    return spla.LinearOperator((n, n), matvec=apply, dtype=float)
 
 
 def assemble_operator(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """The leading n_interior block of the full operator A + Npart, from one
     scatter of the summed local matrices."""
-    local = _local(space, _stiffness(space, spec))
-    local += _local(space, _nonsym(space, spec))
+    local = _local(_stiffness(space, spec))
+    local += _local(_nonsym(space, spec))
     return _to_csr(space, local, interior=True)
 
 
@@ -244,7 +234,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
         wdet, field = _on_triangles(wdet, det, checked_field(f, pts, wdet.shape, "f"))
         return wdet * field
 
-    local = _local(space, _integrate(space, lambda phi, dphi: phi, coefficient))
+    local = _local(_integrate(space, lambda phi, dphi: phi, coefficient))
     return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
                        minlength=space.n_dofs_total)
 

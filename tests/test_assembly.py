@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -418,7 +419,7 @@ def test_interior_scatter_is_the_leading_block_of_the_full_matrix(problem, degre
     A + Npart to roundoff of its largest entry."""
     space = build_space(build_structured_mesh(3, diagonal=diagonal), degree)
     spec, n = problem(), space.n_interior
-    block = sorted_copy(_to_csr(space, assembly._local(space, assembly._stiffness(space, spec)),
+    block = sorted_copy(_to_csr(space, assembly._local(assembly._stiffness(space, spec)),
                                 interior=True))
     full = sorted_copy(assemble_stiffness(space, spec)[:n, :n])
     assert block.shape == full.shape == (n, n)
@@ -438,9 +439,25 @@ def test_element_operator_applies_contracted_and_general_blocks(monkeypatch, deg
     kinds of block, and still applies the leading block of the full Npart."""
     monkeypatch.setattr(assembly, "_BLOCK", 2)
     space = build_space(build_structured_mesh(2), degree)
-    operator = assemble_nonsym(space, mixed_spec(), interior=True)
-    assert [K is None for _, _, K in operator._blocks] == [False, False, False, True]
+    contracted = spy_on_triangles(monkeypatch)
+    assemble_nonsym(space, mixed_spec(), interior=True)
+    assert contracted == [True, True, True, False]
     assert_applies_the_leading_block(space, mixed_spec())
+
+
+def test_element_operator_refuses_a_vector_of_the_wrong_length():
+    """The interior Npart is a scipy LinearOperator of shape
+    (n_interior, n_interior): a vector one entry too long, or one over
+    every DOF with the boundary ones, is refused, as the CSR block
+    refuses it."""
+    space = build_space(build_structured_mesh(3), 3)
+    operator = assemble_nonsym(space, example_1(), interior=True)
+    n = space.n_interior
+    assert isinstance(operator, spla.LinearOperator)
+    assert operator.shape == (n, n)
+    for length in (n + 1, space.n_dofs_total):
+        with pytest.raises(ValueError):
+            operator @ np.ones(length)
 
 
 @pytest.mark.parametrize("M, degree, bound", [(20, 6, 1.5), (40, 3, 1.75)])

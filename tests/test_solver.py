@@ -20,7 +20,7 @@ from twolevelfem import (
     make_factor,
     refine_nested,
 )
-from twolevelfem.problems import example_1, example_2
+from twolevelfem.problems import example_1
 from twolevelfem.solver import TOL, DirectFactor, _residual_floor
 
 
@@ -186,7 +186,9 @@ def certified_floor(K, x, b):
     return 8.0 * np.finfo(float).eps * scale / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("example", [example_1, example_2])
+# example_2 has the same alpha, beta and gamma, so it would factor the same
+# A and A + Npart.
+@pytest.mark.parametrize("example", [example_1])
 @pytest.mark.parametrize(
     "M, degree, refine, bound",
     [(12, 6, 1, 1.06),   # two-level fine space: P6, 5,041 interior unknowns
