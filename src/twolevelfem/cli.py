@@ -40,7 +40,7 @@ from .solver import SolverError
 from .space import CoefficientError, build_space, dof_count, interpolate
 
 CSV_COLUMNS = [field.name for field in fields(ExperimentRow)]
-CHOICES = {   # the fixed values of RunConfig fields, and of their flags
+CHOICES = {   # the fixed values of RunConfig fields; the CLI has a flag for all but solver
     "algorithm": ("galerkin", "two-grid", "two-level"),
     "solver": ("direct", "iterative"),
     "mesh_diagonal": ("down", "up"),
@@ -251,7 +251,6 @@ def render_table(header: list[str], body: list[list], output_format: str) -> str
 def dof_table(M_list, degrees) -> tuple[list[str], list[list]]:
     """DOF counts per mesh size: the first degree also gets a column at the
     squared subdivision count (h = H^2), then one column per further degree."""
-    degrees = list(degrees)
     if not degrees:
         raise UsageError("at least one degree is required")
     if not M_list:
@@ -338,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale-exponent", type=int, metavar="P",
                         help="report h1_error * M^P (default: s, 2l or l "
                         "depending on the algorithm)")
-    parser.add_argument("--solver", choices=CHOICES["solver"],
-                        help="linear solver family (default %(default)s)")
     parser.add_argument("--mesh-diagonal", choices=CHOICES["mesh_diagonal"],
                         help="cell diagonal orientation: up for slope +1, "
                         "down for slope -1 (default %(default)s)")

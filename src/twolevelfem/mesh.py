@@ -10,7 +10,8 @@ points that vertices and DOF maps share (`lattice`), each triangle's affine map
 from the reference triangle (`Mesh.affine`, computed once per mesh and read
 by assembly and the H1 norms).  Spaces derive their DOF maps from
 `Mesh.triangles`.  Meshes are immutable and safe to share across threads; a
-refined mesh never mutates the mesh it came from.
+refined mesh never mutates the mesh it came from.  Every refusal, of a size,
+a diagonal, a refinement factor or a clockwise triangle, is a ValueError.
 """
 
 from __future__ import annotations
@@ -20,18 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Mesh", "MeshGeometryError", "MeshSizeError", "build_structured_mesh",
-           "refine_nested"]
+__all__ = ["Mesh", "build_structured_mesh", "refine_nested"]
 
 MAX_SUBDIVISIONS = 4096
-
-
-class MeshSizeError(ValueError):
-    """Requested subdivision count is outside the supported range."""
-
-
-class MeshGeometryError(ValueError):
-    """A triangle with non-positive signed area was encountered."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +59,7 @@ class Mesh:
         first vertices v0 (n, 2), Jacobians J (n, 2, 2), determinants (n,)
         and inverse Jacobians (n, 2, 2).
 
-        Raises MeshGeometryError if any triangle is degenerate or clockwise.
+        Raises ValueError if any triangle is degenerate or clockwise.
         """
         v0 = self.vertices[self.triangles[:, 0]]
         d1 = self.vertices[self.triangles[:, 1]] - v0
@@ -75,7 +67,7 @@ class Mesh:
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         if np.any(det <= 0.0):
             bad = int(np.argmax(det <= 0.0))
-            raise MeshGeometryError(
+            raise ValueError(
                 f"triangle {bad} has non-positive Jacobian determinant {det[bad]:.3e}"
             )
         jac = np.stack([d1, d2], axis=-1)
@@ -101,9 +93,9 @@ def build_structured_mesh(M: int, diagonal: str = "down") -> Mesh:
     diagonal, "up" along the slope +1 diagonal.
     """
     if not isinstance(M, (int, np.integer)):
-        raise MeshSizeError(f"subdivision count must be an integer, got {M!r}")
+        raise ValueError(f"subdivision count must be an integer, got {M!r}")
     if M < 1 or M > MAX_SUBDIVISIONS:
-        raise MeshSizeError(
+        raise ValueError(
             f"subdivision count must be in [1, {MAX_SUBDIVISIONS}], got {M}"
         )
     if diagonal not in ("down", "up"):

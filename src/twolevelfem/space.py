@@ -226,5 +226,4 @@ def build_prolongation(source: FeSpace, target: FeSpace, interior: bool = False)
     kept = (np.abs(values) > _DROP_TOL)[node] & (columns < cols)
     indptr = np.cumsum(np.append(0, np.count_nonzero(kept, axis=1)), dtype=np.int32)
     matrix = sp.csr_matrix((data[kept], columns[kept], indptr), shape=(rows, cols))
-    matrix.sort_indices()
     return Prolongation(matrix=matrix)

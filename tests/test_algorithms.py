@@ -62,6 +62,8 @@ def run_config(algorithm, l=3, s=None, k=3, fine_factor="square", M_list=(9,)):
 def test_config_validation():
     with pytest.raises(UsageError):
         run_config("three-grid", s=6)
+    with pytest.raises(UsageError, match="two-level runs need --s"):
+        run_config("two-level")
     with pytest.raises(UsageError):
         run_config("two-level", l=0, s=2)
     with pytest.raises(UsageError):

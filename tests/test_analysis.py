@@ -169,6 +169,7 @@ def test_estimate_orders_on_reference_sequences():
     pairwise, slope = estimate_orders(sixth)
     assert all(abs(p - 6.0) <= 0.05 for p in pairwise)
     assert slope == pytest.approx(6.0, abs=0.05)
+    assert estimate_orders([sixth[i] for i in (2, 0, 3, 1)]) == (pairwise, slope)
 
     fourth = rows_from([3.6409e-05, 2.3903e-05, 1.6334e-05, 1.1538e-05], [9, 10, 11, 12])
     pairwise, slope = estimate_orders(fourth)

@@ -25,7 +25,7 @@ from twolevelfem.algorithms import galerkin_solve
 from twolevelfem.element import build_quadrature, build_reference_element
 from twolevelfem.mesh import Mesh, build_structured_mesh
 from twolevelfem.problems import example_1
-from twolevelfem.solver import SolverError
+from twolevelfem.solver import SolveReport, SolverError
 from twolevelfem.space import CoefficientError, build_space, dof_count, interpolate
 
 HEADER = "M,H,l,s_or_r,k,dofs_coarse,dofs_fine,h1_error,scaled_error,cpu_seconds"
@@ -34,6 +34,10 @@ HEADER = "M,H,l,s_or_r,k,dofs_coarse,dofs_fine,h1_error,scaled_error,cpu_seconds
 def run_main(argv, capsys):
     code = cli.main(argv)
     return code, capsys.readouterr()
+
+
+def no_row_may_run(*args):
+    raise AssertionError("a row ran")
 
 
 def test_csv_header_and_row_shape(capsys):
@@ -202,7 +206,9 @@ BAD_USAGE = [
 
 
 @pytest.mark.parametrize("argv", BAD_USAGE)
-def test_bad_usage_exits_with_2(argv, capsys):
+def test_bad_usage_exits_with_2(argv, capsys, monkeypatch):
+    """Each is refused before any row runs."""
+    monkeypatch.setattr(cli, "_run_single", no_row_may_run)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
@@ -452,7 +458,7 @@ def run_argv(draw):
     option("--k", [None, "1", "2", "3"], BAD_INTS)
     option("--fine-factor", [None, "2", "3", "square"], ["1", "0", "-1", HUGE, "x", ""])
     option("--scale-exponent", [None, "2", "-3"], ["-2000", *BAD_INTS])
-    option("--solver", [None, "direct", "iterative"], ["cholesky"])
+    option("--solver", [None], ["direct", "iterative"])   # not a flag: always refused
     option("--mesh-diagonal", [None, "up", "down"], ["left"])
     option("--error-against", [None, "interpolant", "exact"], ["nodal"])
     option("--format", [None, "csv", "markdown"], ["xml"])
@@ -482,6 +488,7 @@ def test_parser_accepts_a_run_or_refuses_it_in_one_line(argv):
             code = exc.code
             assert code == 2
     assert "Traceback" not in err.getvalue()
+    assert code == 2 or "--solver" not in argv
     if code == 2:
         assert err.getvalue().startswith("twolevelfem: error: ")
         assert err.getvalue().count("\n") == 1
@@ -593,6 +600,8 @@ BAD_PROBLEMS = [
     pytest.param(BAD_PROBLEM.replace("alpha=lambda x, y: np.ones_like(x)",
                                      "alpha=lambda x, y: 1 / 0"), [],
                  "alpha raised ZeroDivisionError", id="alpha-raises"),
+    pytest.param(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)", "f=lambda x, y: 'one'"),
+                 [], "f raised ValueError", id="f-string"),
 ]
 
 
@@ -675,7 +684,8 @@ def test_complex_coefficient_values_exit_with_2(tmp_path, capsys):
     path = tmp_path / "complex.py"
     path.write_text(COMPLEX_PROBLEM)
     with warnings.catch_warnings(), pytest.raises(SystemExit) as excinfo:
-        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        # numpy < 1.25, the declared floor, has no np.exceptions.
+        warnings.simplefilter("ignore", getattr(np, "exceptions", np).ComplexWarning)
         cli.main(["--example", str(path), "--algorithm", "galerkin", "--l", "2", "--M", "4"])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
@@ -691,6 +701,7 @@ GALERKIN_ROW = ["--algorithm", "galerkin", "--l", "1", "--M", "2"]
 @pytest.mark.parametrize("source, argv", [
     *(pytest.param(None, argv, id=f"usage-{i}") for i, argv in enumerate(BAD_USAGE)),
     pytest.param(None, ["--example", "1", "--algorithm", "galerkin"], id="no-M"),
+    pytest.param(None, ["--example", "1", "--M", "3", "--solver", "direct"], id="solver-flag"),
     pytest.param(None, ["--example", "1", "--algorithm", "galerkin", "--k", "x", "--M", "2"],
                  id="k-not-an-integer"),
     *(pytest.param(param.values[0], ["--example", PROBLEM_FILE, *GALERKIN_ROW, *param.values[1]],
@@ -741,24 +752,18 @@ def test_parallel_rows_match_sequential(capsys):
         assert line.endswith(",")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--algorithm", "galerkin", "--l", "2"],
-     ["--algorithm", "two-level", "--l", "2", "--s", "4"],
-     ["--algorithm", "two-grid", "--l", "2", "--fine-factor", "2"]],
-    ids=["galerkin", "two-level", "two-grid"],
-)
-def test_iterative_rows_match_direct_rows(argv, capsys):
-    """--solver iterative runs the whole iteration on GMRES and must print
-    the direct path's errors."""
-    argv = ["--example", "1", *argv, "--M", "3,4"]
+@pytest.mark.parametrize("algorithm, s, fine_factor", [
+    ("galerkin", None, "square"), ("two-level", 4, "square"), ("two-grid", None, 2),
+], ids=["galerkin", "two-level", "two-grid"])
+def test_iterative_rows_match_direct_rows(algorithm, s, fine_factor):
+    """RunConfig(solver="iterative") runs the whole iteration on GMRES and
+    must give the direct path's errors."""
     errors = {}
     for solver in ["direct", "iterative"]:
-        code, captured = run_main([*argv, "--solver", solver], capsys)
-        assert code == 0
-        header, body = table_lines(captured.out, "csv")
-        errors[solver] = [float(row[header.index("h1_error")]) for row in body]
-    assert len(errors["direct"]) == 2
+        rows = cli.run_experiment(cli.RunConfig("1", algorithm, 2, s, 3, (3, 4),
+                                                fine_factor=fine_factor, solver=solver))
+        assert not any(row.failed for row in rows)
+        errors[solver] = [row.h1_error for row in rows]
     assert errors["iterative"] == pytest.approx(errors["direct"], rel=1e-6)
 
 
@@ -795,7 +800,7 @@ PROBLEM = ProblemSpec(
     assert 0.0 < error < 0.1
 
 
-def test_problem_without_exact_solution_is_rejected(tmp_path, capsys):
+def test_problem_without_exact_solution_is_rejected(tmp_path, capsys, monkeypatch):
     source = """
 import numpy as np
 from twolevelfem.assembly import ProblemSpec
@@ -810,10 +815,12 @@ PROBLEM = ProblemSpec(
 """
     path = tmp_path / "incomplete.py"
     path.write_text(source)
+    monkeypatch.setattr(cli, "_run_single", no_row_may_run)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--example", str(path), "--algorithm", "galerkin", "--l", "1",
                   "--M", "2"])
     assert excinfo.value.code == 2
+    assert "need exact_u and exact_grad_u" in capsys.readouterr().err
 
 
 def test_exact_error_reference_matches_direct_computation(capsys):
@@ -848,7 +855,7 @@ def test_interpolant_and_exact_references_differ(capsys):
 
 def test_solver_failure_produces_marked_row(capsys, monkeypatch):
     def explode(*args, **kwargs):
-        raise SolverError("test failure")
+        raise SolverError("test failure", SolveReport("direct", 0, float("inf")))
 
     monkeypatch.setattr(cli, "galerkin_solve", explode)
     for extra in [[], ["--parallel"]]:
@@ -857,7 +864,7 @@ def test_solver_failure_produces_marked_row(capsys, monkeypatch):
             capsys,
         )
         assert code == 1
-        assert "M=2 failed" in captured.err
+        assert captured.err == "warning: M=2 failed: test failure\n"
         cells = captured.out.strip().split("\n")[1].split(",")
         assert cells[7] == "nan" and cells[8] == "nan"
         assert cells[9] == ""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twolevelfem import MeshSizeError, build_structured_mesh, refine_nested
+from twolevelfem import build_structured_mesh, refine_nested
 from twolevelfem.mesh import lattice
 
 DIAGONALS = ["down", "up"]
@@ -146,12 +146,12 @@ def test_refine_matches_square_relation():
 
 @pytest.mark.parametrize("bad", [0, -3, 4097])
 def test_rejects_bad_sizes(bad):
-    with pytest.raises(MeshSizeError):
+    with pytest.raises(ValueError, match=rf"subdivision count must be in \[1, 4096\], got {bad}$"):
         build_structured_mesh(bad)
 
 
 def test_rejects_non_integer():
-    with pytest.raises(MeshSizeError):
+    with pytest.raises(ValueError, match="subdivision count must be an integer, got 2.5"):
         build_structured_mesh(2.5)
 
 
@@ -162,7 +162,9 @@ def test_rejects_bad_diagonal():
 
 def test_rejects_bad_refinement_factor():
     mesh = build_structured_mesh(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="refinement factor must be a positive integer, got 0"):
         refine_nested(mesh, 0)
-    with pytest.raises(MeshSizeError):
+    with pytest.raises(ValueError, match="refinement factor must be a positive integer, got 2.5"):
+        refine_nested(mesh, 2.5)
+    with pytest.raises(ValueError, match=r"subdivision count must be in \[1, 4096\], got 10000"):
         refine_nested(mesh, 5000)

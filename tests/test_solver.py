@@ -107,6 +107,35 @@ def test_gmres_stalls_once_its_budget_is_spent():
     assert excinfo.value.report.iterations == 10 * n
 
 
+def test_gmres_report_counts_every_gmres_iteration(monkeypatch):
+    """GMRES capped at two iterations per run leaves a residual that two
+    refinement steps lower below TOL: the report counts the iterations of
+    all three runs, plus one per refinement."""
+    gmres, runs = spla.gmres, []
+
+    def capped(A, b, callback, **options):
+        ticks = []
+        options["maxiter"] = min(options["maxiter"], 2)
+        solution = gmres(A, b, callback=lambda r: (ticks.append(r), callback(r)), **options)
+        runs.append(len(ticks))
+        return solution
+
+    monkeypatch.setattr(spla, "gmres", capped)
+    rng = np.random.default_rng(0)
+    K = sp.csr_matrix(4.0 * np.eye(30) + rng.uniform(-0.01, 0.01, (30, 30)))
+    _, report = make_factor(K, "iterative")(rng.standard_normal(30))
+    assert runs == [2, 2, 2]
+    assert report.iterations == sum(runs) + len(runs) - 1
+
+
+def test_a_csc_matrix_solves_like_its_csr_form():
+    """make_factor takes any sparse format: a CSC matrix gives the CSR
+    form's solution, and no SparseEfficiencyWarning (an error here)."""
+    A, Npart, F = reduced_operators(4, 2)
+    K = (A + Npart).tocsr()
+    assert np.array_equal(make_factor(K.tocsc())(F)[0], make_factor(K)(F)[0])
+
+
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
 def test_non_finite_matrix_is_refused(solver):
     with warnings.catch_warnings(), pytest.raises(SolverError, match="non-finite values"):
