@@ -15,13 +15,13 @@ straight fine Galerkin solve.  The caller builds both spaces; nothing here
 builds a mesh or a space.
 
 Solves and rounds see only the interior unknowns, and the returned
-coefficients get their boundary zeros once.  The fine stiffness is the
-leading block of the full one, sliced and factored before any other fine
-operator is built, so no other fine matrix sits beside SuperLU's work
-arrays.  The rounds only apply the fine Npart, so it is never assembled
-(`assemble_nonsym(..., interior=True)` is a scipy `LinearOperator`); the
-prolongation and the coarse and Galerkin operator are built straight as
-their interior blocks.
+coefficients get their boundary zeros once.  The fine stiffness, the
+prolongation and the coarse and Galerkin operator are each built straight
+as their interior block, never in full and sliced.  The fine stiffness is
+factored before any other fine operator is built, so no other fine matrix
+sits beside SuperLU's work arrays.  The rounds only apply the fine Npart,
+so it is never assembled (`assemble_nonsym(..., interior=True)` is a scipy
+`LinearOperator`).
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ class IterationOperators:
                 f"(M={coarse.mesh.M}, degree {coarse.degree} on both)"
             )
         self.fine = fine
-        nf = fine.n_interior
-        self.A_fine = assemble_stiffness(fine, spec)[:nf, :nf]
+        self.A_fine = assemble_stiffness(fine, spec, interior=True)
         self._solve_fine_spd = make_factor(self.A_fine, solver)
         self.prolong = build_prolongation(coarse, fine, interior=True).matrix
         self.N_fine = assemble_nonsym(fine, spec, interior=True)
-        self.F_fine = assemble_load(fine, spec.f)[:nf]
+        self.F_fine = assemble_load(fine, spec.f)[:fine.n_interior]
         self._solve_coarse = make_factor(assemble_operator(coarse, spec), solver)
 
     def correction(self, r: np.ndarray) -> np.ndarray:

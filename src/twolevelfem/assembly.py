@@ -13,10 +13,10 @@ field; beta returns a 2-vector field; gamma and f return scalar fields.
 Where a form's fields are constant on every triangle of a block, that block
 is integrated with the quadrature weights summed into the reference table
 first (the tensor representation of Kirby & Logg, ACM TOMS 32, 2006).
-The solves read only the interior DOFs, which lead each space's numbering:
-`assemble_operator` scatters A + Npart into their block in one product, and
-`assemble_nonsym(..., interior=True)` keeps Npart's block as a scipy
-`LinearOperator` that applies it triangle by triangle, never assembled.
+The solves read only the interior DOFs, which lead each space's numbering.
+With `interior=True`, `assemble_stiffness` scatters A into their block and
+`assemble_nonsym` keeps Npart's as a scipy `LinearOperator` that applies it
+triangle by triangle; `assemble_operator` scatters A + Npart's in one product.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _integrate(space: FeSpace, table, coefficient):
     _on_triangles finds a block's fields constant on each triangle, C is
     (e, 1, c), with det in place of wdet, and K = summed[c, m] = sum over q
     of w_q T[(q, c), m].  The assembly rules have more than one point, so
-    C's shape tells the two apart; other blocks yield local as C, K = None.
+    C's shape tells the two apart; other blocks yield C (e, q c) and K = T.
     """
     quad = default_assembly_quadrature(space.degree)
     phi, grads = tabulate_basis(space.element, quad.points)
@@ -94,12 +94,17 @@ def _integrate(space: FeSpace, table, coefficient):
     for block, pts, wdet, inv in element_blocks(space, quad):
         c = coefficient(pts, wdet, det[block, None], inv)
         contracted, c = c.shape[1] == 1, c.reshape(len(c), -1)
-        yield (block, c, summed) if contracted else (block, c @ flat, None)
+        yield block, c, summed if contracted else flat
 
 
-def _local(factors) -> np.ndarray:
-    """Every triangle's local matrix, C K from _integrate's consecutive blocks."""
-    return np.concatenate([C if K is None else C @ K for _, C, K in factors])
+def _local(space: FeSpace, factors) -> np.ndarray:
+    """Every triangle's local matrix, _integrate's C K, filled block by block."""
+    local = None
+    for block, C, K in factors:
+        if local is None:
+            local = np.empty((space.mesh.n_triangles, K.shape[1]))
+        np.matmul(C, K, out=local[block])
+    return local
 
 
 def _on_triangles(wdet, det, *fields):
@@ -188,10 +193,11 @@ def _nonsym(space: FeSpace, spec: ProblemSpec):
     return _integrate(space, table, coefficient)
 
 
-def assemble_stiffness(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
+def assemble_stiffness(space: FeSpace, spec: ProblemSpec, interior: bool = False
+                       ) -> sp.csr_matrix:
     """Assemble A[i, j] = integral of (alpha grad phi_j) . grad phi_i (see
-    _stiffness)."""
-    return _to_csr(space, _local(_stiffness(space, spec)))
+    _stiffness), or with `interior` only its leading n_interior block."""
+    return _to_csr(space, _local(space, _stiffness(space, spec)), interior)
 
 
 def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False):
@@ -202,8 +208,10 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False):
     Fluids 63, 2012): a contracted block keeps C (e, c) and summed
     (c, n_local**2), any other block its local matrices."""
     if not interior:
-        return _to_csr(space, _local(_nonsym(space, spec)))
-    n, blocks = space.n_interior, list(_nonsym(space, spec))
+        return _to_csr(space, _local(space, _nonsym(space, spec)))
+    n = space.n_interior
+    # K is summed, one row per table (beta's two and gamma), or T, one per point and table.
+    blocks = [(b, C, K) if len(K) == 3 else (b, C @ K, None) for b, C, K in _nonsym(space, spec)]
     dofs = np.minimum(space.cell_to_dofs, n)   # boundary DOFs -> dump slot n
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -223,8 +231,8 @@ def assemble_nonsym(space: FeSpace, spec: ProblemSpec, interior: bool = False):
 def assemble_operator(space: FeSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """The leading n_interior block of the full operator A + Npart, from one
     scatter of the summed local matrices."""
-    local = _local(_stiffness(space, spec))
-    local += _local(_nonsym(space, spec))
+    local = _local(space, _stiffness(space, spec))
+    local += _local(space, _nonsym(space, spec))
     return _to_csr(space, local, interior=True)
 
 
@@ -234,7 +242,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
         wdet, field = _on_triangles(wdet, det, checked_field(f, pts, wdet.shape, "f"))
         return wdet * field
 
-    local = _local(_integrate(space, lambda phi, dphi: phi, coefficient))
+    local = _local(space, _integrate(space, lambda phi, dphi: phi, coefficient))
     return np.bincount(space.cell_to_dofs.ravel(), weights=local.ravel(),
                        minlength=space.n_dofs_total)
 

@@ -134,7 +134,7 @@ class RunConfig:
         """Peak memory of the row at M, above that of the rows measured in
         tests/test_cli.py (P1-P6, up to 187,489 DOFs): in each space the row
         assembles and factors, L+U is counted as 16 n^0.2 entries per DOF at
-        P3-P6 and 11 n^0.2 at P1-P2 (SuperLU stores 8.0-11.0 and 7.2-8.3 on
+        P3-P6 and 11 n^0.2 at P1-P2 (SuperLU stores 7.7-11.0 and 6.4-8.4 on
         those rows), at 20 bytes each while SuperLU factors (12 stored, the
         rest its work arrays), and assembly takes 12 bytes per local entry:
         the float64 local matrices and the int32 column indices of their

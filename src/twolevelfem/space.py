@@ -42,18 +42,21 @@ def checked_field(fn, pts: np.ndarray, shape, what: str, matrix: bool = False) -
     """fn(x, y) at the points pts (..., 2), broadcast to `shape` and finite.
 
     With `matrix`, values whose last two axes are (2, 2) are broadcast to
-    shape + (2, 2) instead.  Any exception fn raises, a wrong shape and a
-    non-finite value all raise CoefficientError naming `what`, and so do
-    complex values, which a float cast would truncate to their real part.
+    shape + (2, 2) instead.  Any exception fn raises, values that are not
+    numbers (strings, None), a wrong shape and a non-finite value all raise
+    CoefficientError naming `what`, and so do complex values, which a float
+    cast would truncate to their real part.
     """
     try:
         field = np.asarray(fn(pts[..., 0], pts[..., 1]))
-        if not np.iscomplexobj(field):
-            field = field.astype(float, copy=False)
     except Exception as exc:
         raise CoefficientError(f"{what} raised {type(exc).__name__}: {exc}") from None
     if np.iscomplexobj(field):
         raise CoefficientError(f"{what} returned complex values")
+    try:   # bool, integer and float arrays only
+        field = field.astype(float, casting="same_kind", copy=False)
+    except TypeError:
+        raise CoefficientError(f"{what} returned non-numeric values") from None
     if matrix and field.shape[-2:] == (2, 2):
         shape = shape + (2, 2)
     try:

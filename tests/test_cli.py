@@ -601,7 +601,9 @@ BAD_PROBLEMS = [
                                      "alpha=lambda x, y: 1 / 0"), [],
                  "alpha raised ZeroDivisionError", id="alpha-raises"),
     pytest.param(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)", "f=lambda x, y: 'one'"),
-                 [], "f raised ValueError", id="f-string"),
+                 [], "f returned non-numeric values", id="f-string"),
+    pytest.param(BAD_PROBLEM.replace("f=lambda x, y: np.ones_like(x)", "f=lambda x, y: None"),
+                 [], "f returned non-numeric values", id="f-none"),
 ]
 
 

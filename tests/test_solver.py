@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from twolevelfem import (
     SolverError,
     assemble_load,
     assemble_nonsym,
+    assemble_operator,
     assemble_stiffness,
     build_space,
     build_structured_mesh,
     make_factor,
     refine_nested,
 )
-from twolevelfem.problems import example_1
+from twolevelfem.problems import example_1, load_problem_file
 from twolevelfem.solver import TOL, DirectFactor, _residual_floor
 
 
@@ -243,6 +245,35 @@ def test_ordering_cuts_fill(M, degree, refine, bound, example):
             oracle = spla.splu(K[lexicographic, :][:, lexicographic].tocsc(),
                                permc_spec="MMD_AT_PLUS_A").nnz
             assert DirectFactor(K[:n, :n])._lu.nnz <= bound * oracle
+
+
+NONSYMMETRIC = str(Path(__file__).parent / "problems" / "nonsymmetric.py")
+
+
+@pytest.mark.parametrize("problem, degree, M, operator", [
+    (example_1, 3, 24, "A"),
+    (example_1, 6, 6, "A"),
+    (example_1, 3, 6, "A+N"),
+    (lambda: load_problem_file(NONSYMMETRIC), 3, 6, "A+N"),
+], ids=["two-grid-fine-P3", "two-level-fine-P6", "coarse-P3", "coarse-P3-nonsymmetric"])
+def test_superlu_options_keep_fill_and_solution(problem, degree, M, operator):
+    """DirectFactor's _SPLU_OPTIONS (relaxed supernodes and panels of 4
+    columns) store no more L+U than scipy's defaults and solve the same
+    system to 1e-12, on a fine stiffness of each algorithm and on the coarse
+    A + Npart of example 1 and of the nonsymmetric file.  The options are in
+    use: on the coarse operators they cut the fill (measured 8,284 against
+    10,538 entries)."""
+    space, spec = build_space(build_structured_mesh(M), degree), problem()
+    A = (assemble_stiffness(space, spec, interior=True) if operator == "A"
+         else assemble_operator(space, spec))
+    factor = DirectFactor(A)
+    default = spla.splu(A.T, permc_spec="NATURAL")
+    assert factor._lu.nnz <= default.nnz
+    if operator == "A+N":
+        assert factor._lu.nnz < default.nnz
+    b = np.random.default_rng(M).uniform(-1.0, 1.0, A.shape[0])
+    x, expected = factor.solve(b)[0], default.solve(b, trans="T")
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_residual_floor_counts_the_product_and_the_load():
